@@ -249,6 +249,11 @@ pub fn generate_tests(netlist: &Netlist, config: &AtpgConfig) -> Result<PatternS
 /// result is typically substantially smaller for sets produced in
 /// easy-faults-first order.
 ///
+/// The set is fault-simulated 64 patterns at a time from its end
+/// ([`SimSession::detect_patterns`]): a vector is kept iff it is the highest
+/// set bit — the first detecting pattern in reverse order — of some live
+/// fault's mask, which is exactly the one-vector-at-a-time rule.
+///
 /// # Examples
 ///
 /// See [`generate_tests`], which applies this as its final phase.
@@ -261,25 +266,32 @@ pub fn compact_patterns(
     let mut session = SimSession::new(netlist, view);
     let mut alive: Vec<usize> = (0..faults.len()).collect();
     let mut kept = Vec::new();
-    for pattern in patterns.iter().rev() {
+    for batch in patterns.rchunks(64) {
         if alive.is_empty() {
             break;
         }
         let subset: Vec<Fault> = alive.iter().map(|&i| faults[i]).collect();
-        let hits = match session.detect(pattern, &subset) {
-            Ok(hits) => hits,
+        let masks = match session.detect_patterns(batch, &subset) {
+            Ok(masks) => masks,
             Err(_) => unreachable!("patterns under compaction are view-width"),
         };
-        if hits.iter().any(|&h| h) {
-            kept.push(pattern.clone());
-            let mut next = Vec::with_capacity(alive.len());
-            for (slot, &fi) in alive.iter().enumerate() {
-                if !hits[slot] {
-                    next.push(fi);
-                }
+        let mut keep = 0u64;
+        for &mask in &masks {
+            if mask != 0 {
+                keep |= 1u64 << (63 - mask.leading_zeros());
             }
-            alive = next;
         }
+        for j in (0..batch.len()).rev() {
+            if (keep >> j) & 1 == 1 {
+                kept.push(batch[j].clone());
+            }
+        }
+        alive = alive
+            .into_iter()
+            .zip(&masks)
+            .filter(|&(_, &mask)| mask == 0)
+            .map(|(i, _)| i)
+            .collect();
     }
     kept.reverse();
     kept

@@ -14,6 +14,14 @@ use tvs_fault::{Fault, SimSession};
 /// remaining undetected faults are the "hard" faults handed to deterministic
 /// PODEM.
 ///
+/// Patterns are fault-simulated 64 at a time
+/// ([`SimSession::detect_patterns`]); the batch is then walked in draw
+/// order, where a fault's lowest mask bit is the pattern that drops it. The
+/// keep/useless/stop rules see exactly the per-pattern sequence, and `rng`
+/// is rewound and re-advanced by the patterns that sequence consumed, so
+/// both the result and the stream left in `rng` match one-pattern-at-a-time
+/// simulation bit for bit.
+///
 /// # Examples
 ///
 /// ```
@@ -49,34 +57,64 @@ pub fn random_phase(
     let mut alive: Vec<usize> = (0..faults.len()).collect();
     let mut patterns = Vec::new();
     let mut useless = 0usize;
+    let mut drawn = 0usize;
 
-    for _ in 0..max_patterns {
-        if alive.is_empty() || useless >= max_useless {
-            break;
-        }
-        let pattern: BitVec = (0..view.input_count()).map(|_| rng.next_bool()).collect();
+    while drawn < max_patterns && !alive.is_empty() && useless < max_useless {
+        let start = rng.clone();
+        let batch: Vec<BitVec> = (0..(max_patterns - drawn).min(64))
+            .map(|_| random_pattern(view, rng))
+            .collect();
         let subset: Vec<Fault> = alive.iter().map(|&i| faults[i]).collect();
-        let hits = match sim.detect(&pattern, &subset) {
-            Ok(hits) => hits,
-            Err(_) => unreachable!("random patterns are view-width"),
+        let masks = match sim.detect_patterns(&batch, &subset) {
+            Ok(masks) => masks,
+            Err(_) => unreachable!("random batches are 1..=64 view-width patterns"),
         };
-        if hits.iter().any(|&h| h) {
-            useless = 0;
-            patterns.push(pattern);
-            let mut next = Vec::with_capacity(alive.len());
-            for (slot, &fi) in alive.iter().enumerate() {
-                if hits[slot] {
-                    detected[fi] = true;
-                } else {
-                    next.push(fi);
-                }
+        // Faults dropped by each pattern of the batch, in draw order.
+        let mut drops = vec![0usize; batch.len()];
+        for &mask in &masks {
+            if mask != 0 {
+                drops[mask.trailing_zeros() as usize] += 1;
             }
-            alive = next;
-        } else {
-            useless += 1;
         }
+        let mut left = alive.len();
+        let mut used = 0usize;
+        for (j, pattern) in batch.into_iter().enumerate() {
+            if left == 0 || useless >= max_useless {
+                break;
+            }
+            used = j + 1;
+            if drops[j] > 0 {
+                useless = 0;
+                left -= drops[j];
+                patterns.push(pattern);
+            } else {
+                useless += 1;
+            }
+        }
+        // Rewind and re-advance by exactly the patterns the walk consumed.
+        *rng = start;
+        for _ in 0..used {
+            random_pattern(view, rng);
+        }
+        drawn += used;
+
+        let seen = u64::MAX >> (64 - used);
+        let mut next = Vec::with_capacity(left);
+        for (&fi, &mask) in alive.iter().zip(&masks) {
+            if mask & seen != 0 {
+                detected[fi] = true;
+            } else {
+                next.push(fi);
+            }
+        }
+        alive = next;
     }
     (patterns, detected)
+}
+
+/// Draws one fully specified pattern over the view's inputs.
+fn random_pattern(view: &ScanView, rng: &mut Prng) -> BitVec {
+    (0..view.input_count()).map(|_| rng.next_bool()).collect()
 }
 
 #[cfg(test)]

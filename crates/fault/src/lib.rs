@@ -11,6 +11,11 @@
 //!   the PROOFS/HOPE tradition: 64 faulty machines per sweep, each slot with
 //!   its *own* stimulus (required by the stitching engine, whose hidden
 //!   faults see mutated test vectors);
+//! * [`SimSession::detect_patterns`] — the transposed shape,
+//!   pattern-parallel single-fault propagation: 64 patterns per sweep
+//!   against one fault, returning a per-fault detection mask whose lowest
+//!   set bit is the first detecting pattern (random-pattern ATPG,
+//!   compaction, accidental-detection counts);
 //! * [`Scoap`] — SCOAP controllability/observability testability measures,
 //!   used for the paper's "Hardness" fault-ordering strategy;
 //! * [`StaticPrune`] — pattern-independent pre-classification of faults on

@@ -18,7 +18,9 @@ use crate::{Fault, SlotSpec};
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultError {
-    /// More than 64 slots were requested for a single sweep.
+    /// A pattern-parallel sweep was requested with no patterns.
+    EmptyBatch,
+    /// More than 64 slots (or patterns) were requested for a single sweep.
     TooManySlots {
         /// The number of slots given.
         given: usize,
@@ -37,6 +39,7 @@ pub enum FaultError {
 impl fmt::Display for FaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            FaultError::EmptyBatch => write!(f, "a pattern batch needs at least one pattern"),
             FaultError::TooManySlots { given } => {
                 write!(f, "{given} slots requested, a sweep holds at most 64")
             }
@@ -66,7 +69,12 @@ impl Error for FaultError {}
 ///   cause no spurious events;
 /// * **batching** — [`run_jobs`](Self::run_jobs) accepts any number of
 ///   machines and splits them into sweeps internally, removing the 64-slot
-///   ceiling from every caller.
+///   ceiling from every caller;
+/// * **two detection shapes** — [`detect`](Self::detect) packs 64 faults
+///   against one broadcast pattern, [`detect_patterns`](Self::detect_patterns)
+///   packs 64 patterns against one fault (pattern-parallel single-fault
+///   propagation, DESIGN.md §11.3). Both read a 64-bit detection mask per
+///   sweep instead of per-slot output vectors.
 ///
 /// # Examples
 ///
@@ -97,12 +105,14 @@ pub struct SimSession<'a> {
     psim: ParallelSim<'a>,
     words: Vec<u64>,
     injections: Vec<Injection>,
-    /// The broadcast stimulus of the seeded baseline, if any.
-    base_stim: Option<BitVec>,
-    /// The fault-free outputs of the seeded baseline.
+    /// The input words of the seeded baseline (meaningful while
+    /// `psim.has_baseline()`): a broadcast pattern or a packed batch.
+    seed: Vec<u64>,
+    /// The fault-free outputs of the seeded baseline's slot 0.
     base_outputs: BitVec,
     slot_counter: Counter,
     sweep_counter: Counter,
+    pattern_sweep_counter: Counter,
     baseline_counter: Counter,
 }
 
@@ -114,10 +124,11 @@ impl<'a> SimSession<'a> {
             psim: ParallelSim::new(netlist, view),
             words: vec![0; view.input_count()],
             injections: Vec::new(),
-            base_stim: None,
+            seed: Vec::new(),
             base_outputs: BitVec::new(),
             slot_counter: tvs_exec::counter("fault.slots_simulated"),
             sweep_counter: tvs_exec::counter("fault.sweeps"),
+            pattern_sweep_counter: tvs_exec::counter("fault.pattern_sweeps"),
             baseline_counter: tvs_exec::counter("fault.baseline_sweeps"),
         }
     }
@@ -138,24 +149,43 @@ impl<'a> SimSession<'a> {
     ///
     /// [`FaultError::StimulusLength`] if `stimulus` does not match the view.
     pub fn baseline(&mut self, stimulus: &BitVec) -> Result<BitVec, FaultError> {
-        if stimulus.len() != self.view.input_count() {
-            return Err(FaultError::StimulusLength {
-                slot: 0,
-                got: stimulus.len(),
-                want: self.view.input_count(),
-            });
-        }
-        if self.base_stim.as_ref() == Some(stimulus) && self.psim.has_baseline() {
-            return Ok(self.base_outputs.clone());
-        }
+        self.seed_broadcast(stimulus)?;
+        Ok(self.base_outputs.clone())
+    }
+
+    /// Seeds `stimulus` in every slot as the baseline.
+    fn seed_broadcast(&mut self, stimulus: &BitVec) -> Result<(), FaultError> {
+        self.check_width(0, stimulus)?;
         for (i, bit) in stimulus.iter().enumerate() {
             self.words[i] = if bit { !0u64 } else { 0 };
         }
+        self.seed_words();
+        Ok(())
+    }
+
+    /// Seeds the baseline from `words` unless that exact baseline is
+    /// already in place.
+    fn seed_words(&mut self) {
+        if self.psim.has_baseline() && self.seed == self.words {
+            return;
+        }
         self.psim.seed_baseline(&self.words, &[]);
         self.baseline_counter.incr();
-        self.base_stim = Some(stimulus.clone());
+        self.seed.clone_from(&self.words);
         self.base_outputs = self.psim.output_slot(0);
-        Ok(self.base_outputs.clone())
+    }
+
+    fn check_width(&self, slot: usize, stimulus: &BitVec) -> Result<(), FaultError> {
+        let want = self.view.input_count();
+        if stimulus.len() == want {
+            Ok(())
+        } else {
+            Err(FaultError::StimulusLength {
+                slot,
+                got: stimulus.len(),
+                want,
+            })
+        }
     }
 
     /// Simulates up to 64 independent machines in one sweep and returns each
@@ -174,26 +204,16 @@ impl<'a> SimSession<'a> {
         if slots.len() > 64 {
             return Err(FaultError::TooManySlots { given: slots.len() });
         }
-        let want = self.view.input_count();
         for (s, spec) in slots.iter().enumerate() {
-            if spec.stimulus.len() != want {
-                return Err(FaultError::StimulusLength {
-                    slot: s,
-                    got: spec.stimulus.len(),
-                    want,
-                });
-            }
+            self.check_width(s, spec.stimulus)?;
         }
 
-        // Slot packing: start every word from the baseline broadcast (zeros
-        // without one) so unused and unchanged slots generate no events.
-        match &self.base_stim {
-            Some(base) => {
-                for (i, bit) in base.iter().enumerate() {
-                    self.words[i] = if bit { !0u64 } else { 0 };
-                }
-            }
-            None => self.words.fill(0),
+        // Slot packing: start every word from the baseline (zeros without
+        // one) so unused and unchanged slots generate no events.
+        if self.psim.has_baseline() {
+            self.words.copy_from_slice(&self.seed);
+        } else {
+            self.words.fill(0);
         }
         self.injections.clear();
         for (s, spec) in slots.iter().enumerate() {
@@ -245,27 +265,109 @@ impl<'a> SimSession<'a> {
     /// whether *any* combinational output differs from the fault-free
     /// machine.
     ///
-    /// The shared stimulus becomes (or reuses) the session baseline, so each
-    /// 64-fault sweep only re-evaluates the injection cones.
+    /// The shared stimulus becomes (or reuses) the session baseline, and
+    /// each sweep injects 64 faults, one per slot, re-evaluating only their
+    /// cones; slot `s` of the sweep's detection mask is fault `s`'s verdict.
     ///
     /// # Errors
     ///
     /// [`FaultError::StimulusLength`] if `stimulus` does not match the view.
     pub fn detect(&mut self, stimulus: &BitVec, faults: &[Fault]) -> Result<Vec<bool>, FaultError> {
-        let good = self.baseline(stimulus)?;
+        self.seed_broadcast(stimulus)?;
         let mut detected = Vec::with_capacity(faults.len());
         for chunk in faults.chunks(64) {
-            let slots: Vec<SlotSpec<'_>> = chunk
-                .iter()
-                .map(|&f| SlotSpec {
-                    stimulus,
-                    fault: Some(f),
-                })
-                .collect();
-            let outs = self.run_slots(&slots)?;
-            detected.extend(outs.iter().map(|out| out != &good));
+            self.injections.clear();
+            self.injections.extend(
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(s, f)| f.injection(1u64 << s)),
+            );
+            let mask = self.psim.detect_mask(&self.injections);
+            detected.extend((0..chunk.len()).map(|s| (mask >> s) & 1 == 1));
+            self.slot_counter.add(chunk.len() as u64);
+            self.sweep_counter.incr();
         }
         Ok(detected)
+    }
+
+    /// Pattern-parallel single-fault propagation: simulates every fault in
+    /// `faults` against up to 64 `patterns` and returns one detection mask
+    /// per fault, where bit `j` is set iff pattern `j` detects the fault
+    /// (some combinational output differs from the fault-free machine).
+    ///
+    /// The patterns are packed one per slot into a single good-machine
+    /// baseline; each fault then costs one incremental sweep with the fault
+    /// injected in every pattern's slot. The mask's lowest set bit is the
+    /// first pattern that detects the fault, and its popcount the number of
+    /// patterns that do — exactly what per-pattern [`detect`](Self::detect)
+    /// calls would report, pattern by pattern.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError::EmptyBatch`] for no patterns,
+    /// [`FaultError::TooManySlots`] for more than 64, and
+    /// [`FaultError::StimulusLength`] (with the pattern's index) for a
+    /// pattern that does not match the view.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tvs_fault::{Fault, SimSession, StuckAt};
+    /// use tvs_logic::BitVec;
+    /// use tvs_netlist::{GateKind, NetlistBuilder};
+    ///
+    /// let mut b = NetlistBuilder::new("and");
+    /// b.add_input("a")?;
+    /// b.add_input("b")?;
+    /// b.add_gate("y", GateKind::And, &["a", "b"])?;
+    /// b.mark_output("y")?;
+    /// let n = b.build()?;
+    /// let view = n.scan_view()?;
+    /// let mut session = SimSession::new(&n, &view);
+    ///
+    /// let patterns = [
+    ///     BitVec::from_bools([false, true]),
+    ///     BitVec::from_bools([true, true]),
+    ///     BitVec::from_bools([true, true]),
+    /// ];
+    /// let fault = Fault::stem(n.find("y").unwrap(), StuckAt::Zero);
+    /// let masks = session.detect_patterns(&patterns, &[fault])?;
+    /// assert_eq!(masks, vec![0b110], "only 11 detects y/0");
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn detect_patterns(
+        &mut self,
+        patterns: &[BitVec],
+        faults: &[Fault],
+    ) -> Result<Vec<u64>, FaultError> {
+        if patterns.is_empty() {
+            return Err(FaultError::EmptyBatch);
+        }
+        if patterns.len() > 64 {
+            return Err(FaultError::TooManySlots {
+                given: patterns.len(),
+            });
+        }
+        for (j, pattern) in patterns.iter().enumerate() {
+            self.check_width(j, pattern)?;
+        }
+        self.words.fill(0);
+        for (j, pattern) in patterns.iter().enumerate() {
+            for (i, bit) in pattern.iter().enumerate() {
+                self.words[i] |= u64::from(bit) << j;
+            }
+        }
+        self.seed_words();
+        let valid = u64::MAX >> (64 - patterns.len());
+        let masks: Vec<u64> = faults
+            .iter()
+            .map(|f| self.psim.detect_mask(&[f.injection(valid)]))
+            .collect();
+        self.slot_counter
+            .add((faults.len() * patterns.len()) as u64);
+        self.pattern_sweep_counter.add(faults.len() as u64);
+        Ok(masks)
     }
 }
 

@@ -1,4 +1,4 @@
-//! Bit-parallel single-pattern multi-fault simulation (PROOFS/HOPE style).
+//! Bit-parallel multi-fault simulation (PROOFS/HOPE style).
 
 use tvs_exec::ThreadPool;
 use tvs_logic::BitVec;
@@ -113,18 +113,33 @@ impl<'a> FaultSim<'a> {
     ///
     /// This is the conventional full-shift observation model (every
     /// combinational output observable), used for baseline coverage numbers.
+    /// Patterns are simulated 64 at a time
+    /// ([`SimSession::detect_patterns`]); a fault is dropped after the
+    /// first batch that detects it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern does not match the scan view.
     pub fn coverage(&mut self, patterns: &[BitVec], faults: &[Fault]) -> Vec<bool> {
+        let width = self.session.view().input_count();
+        assert!(
+            patterns.iter().all(|p| p.len() == width),
+            "every pattern must match the scan view"
+        );
         let mut detected = vec![false; faults.len()];
         let mut alive: Vec<usize> = (0..faults.len()).collect();
-        for pattern in patterns {
+        for batch in patterns.chunks(64) {
             if alive.is_empty() {
                 break;
             }
             let subset: Vec<Fault> = alive.iter().map(|&i| faults[i]).collect();
-            let hits = self.detect(pattern, &subset);
+            let masks = match self.session.detect_patterns(batch, &subset) {
+                Ok(masks) => masks,
+                Err(_) => unreachable!("pattern widths validated above"),
+            };
             let mut next_alive = Vec::with_capacity(alive.len());
-            for (slot, &fi) in alive.iter().enumerate() {
-                if hits[slot] {
+            for (&fi, &mask) in alive.iter().zip(&masks) {
+                if mask != 0 {
                     detected[fi] = true;
                 } else {
                     next_alive.push(fi);
@@ -136,10 +151,11 @@ impl<'a> FaultSim<'a> {
     }
 }
 
-/// Parallel [`FaultSim::detect`]: shards `faults` into 63-fault words (the
-/// same batching the sequential path uses, one good slot per sweep), fans
-/// the shards out over `pool`, and concatenates the per-shard detection
-/// flags in fault-index order.
+/// Parallel [`FaultSim::detect`]: shards `faults` into 64-fault words (the
+/// same batching the sequential path uses: one fault per slot, swept
+/// against the stimulus seeded as each shard's baseline), fans the shards
+/// out over `pool`, and concatenates the per-shard detection flags in
+/// fault-index order.
 ///
 /// The result is **bit-identical** to `FaultSim::detect` at any thread
 /// count: each shard is a pure function of the stimulus and its faults, and
@@ -176,10 +192,10 @@ pub fn detect_parallel(
     stimulus: &BitVec,
     faults: &[Fault],
 ) -> Vec<bool> {
-    if pool.threads() <= 1 || faults.len() <= 63 {
+    if pool.threads() <= 1 || faults.len() <= 64 {
         return FaultSim::new(netlist, view).detect(stimulus, faults);
     }
-    let shards: Vec<&[Fault]> = faults.chunks(63).collect();
+    let shards: Vec<&[Fault]> = faults.chunks(64).collect();
     pool.map(&shards, |_, shard| {
         FaultSim::new(netlist, view).detect(stimulus, shard)
     })

@@ -1,6 +1,6 @@
 //! Parallel fault simulation must be bit-identical to sequential: the
 //! DESIGN.md §6.4 invariant. `detect_parallel` shards the fault universe
-//! into fixed 63-fault words and merges detection flags in fault-index
+//! into fixed 64-fault words and merges detection flags in fault-index
 //! order, so the thread count must never change a detection set.
 
 use tvs_exec::ThreadPool;
@@ -38,7 +38,7 @@ fn fig1_detection_sets_are_thread_count_invariant() {
 
 #[test]
 fn synthetic_profile_detection_sets_are_thread_count_invariant() {
-    // Large enough that the fault universe spans many 63-fault shards, so
+    // Large enough that the fault universe spans many 64-fault shards, so
     // the parallel path (not its small-input fallback) is exercised.
     let netlist = tvs_circuits::synthesize(
         "det",
@@ -51,7 +51,7 @@ fn synthetic_profile_detection_sets_are_thread_count_invariant() {
             depth_hint: None,
         },
     );
-    assert!(FaultList::collapsed(&netlist).len() > 63 * 4);
+    assert!(FaultList::collapsed(&netlist).len() > 64 * 4);
     let sets = detection_sets(&netlist, 8);
     assert!(sets.iter().any(|s| s.iter().any(|&d| d)));
 }

@@ -4,7 +4,7 @@
 //! deterministic loops so the workspace has no external test deps).
 
 use tvs_circuits::{synthesize, SynthConfig};
-use tvs_fault::{Fault, FaultList, FaultSim, SlotSpec, StuckAt};
+use tvs_fault::{Fault, FaultError, FaultList, FaultSim, SimSession, SlotSpec, StuckAt};
 use tvs_logic::{BitVec, Prng};
 
 fn circuit(seed: u64) -> tvs_netlist::Netlist {
@@ -122,4 +122,93 @@ fn stem_fault_on_observed_signal_is_always_caught_when_excited() {
             value
         );
     }
+}
+
+/// Every built-in profile, the large ones scaled down to about 600 gates of
+/// logic (the scan interface is kept at any scale).
+fn profiles() -> Vec<(String, tvs_netlist::Netlist)> {
+    tvs_circuits::all_profiles()
+        .into_iter()
+        .map(|p| {
+            let scale = (600.0 / p.gates as f64).min(1.0);
+            (p.name.to_string(), p.build_scaled(scale))
+        })
+        .collect()
+}
+
+#[test]
+fn pattern_masks_equal_per_pattern_verdicts_on_every_profile() {
+    for (name, netlist) in profiles() {
+        let view = netlist.scan_view().expect("valid");
+        let list = FaultList::collapsed(&netlist);
+        // A strided sample keeps the debug-build run short on the big
+        // profiles while still covering every fault kind.
+        let stride = (list.len() / 160).max(1);
+        let faults: Vec<Fault> = list.faults().iter().copied().step_by(stride).collect();
+        let mut rng = Prng::seed_from_u64(0x9A77);
+        let patterns: Vec<BitVec> = (0..64)
+            .map(|_| (0..view.input_count()).map(|_| rng.next_bool()).collect())
+            .collect();
+        // One session for both shapes, so switching between a broadcast
+        // and a packed baseline is exercised too.
+        let mut session = SimSession::new(&netlist, &view);
+        let verdicts: Vec<Vec<bool>> = patterns
+            .iter()
+            .map(|p| session.detect(p, &faults).expect("view-width"))
+            .collect();
+        for batch in [1usize, 8, 63, 64] {
+            let masks = session
+                .detect_patterns(&patterns[..batch], &faults)
+                .expect("valid batch");
+            assert_eq!(masks.len(), faults.len());
+            for (i, &mask) in masks.iter().enumerate() {
+                if batch < 64 {
+                    assert_eq!(mask >> batch, 0, "{name}: bits beyond the batch");
+                }
+                for (j, verdict) in verdicts.iter().take(batch).enumerate() {
+                    assert_eq!(
+                        (mask >> j) & 1 == 1,
+                        verdict[i],
+                        "{name}: fault {} pattern {j} of {batch}",
+                        faults[i].display_in(&netlist)
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn malformed_pattern_batches_are_typed_errors() {
+    let netlist = circuit(7);
+    let view = netlist.scan_view().expect("valid");
+    let faults = FaultList::collapsed(&netlist);
+    let mut session = SimSession::new(&netlist, &view);
+    let good = BitVec::zeros(view.input_count());
+    assert_eq!(
+        session.detect_patterns(&[], faults.faults()),
+        Err(FaultError::EmptyBatch)
+    );
+    let too_many = vec![good.clone(); 65];
+    assert_eq!(
+        session.detect_patterns(&too_many, faults.faults()),
+        Err(FaultError::TooManySlots { given: 65 })
+    );
+    let mut ragged = vec![good.clone(); 4];
+    ragged[3] = BitVec::zeros(view.input_count() + 1);
+    assert_eq!(
+        session.detect_patterns(&ragged, faults.faults()),
+        Err(FaultError::StimulusLength {
+            slot: 3,
+            got: view.input_count() + 1,
+            want: view.input_count(),
+        })
+    );
+    // A rejected batch leaves the session usable.
+    assert_eq!(
+        session
+            .detect_patterns(&[good], faults.faults())
+            .map(|m| m.len()),
+        Ok(faults.len())
+    );
 }

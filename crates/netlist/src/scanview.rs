@@ -41,6 +41,13 @@ pub struct ScanView {
     /// topological order.
     cone_index: Vec<u32>,
     cone_data: Vec<GateId>,
+    /// CSR index into `drives_data`: `drives_data[drives_index[g]..
+    /// drives_index[g+1]]` are the combinational outputs gate `g` drives.
+    drives_index: Vec<u32>,
+    drives_data: Vec<u32>,
+    /// For each gate: the PPO a scan cell captures into (`u32::MAX` for
+    /// every other gate).
+    capture: Vec<u32>,
 }
 
 impl ScanView {
@@ -157,6 +164,27 @@ impl ScanView {
             cone_index.push(cone_data.len() as u32);
         }
 
+        // Output drivers, inverted into CSR form: fault simulation reads
+        // only the outputs of gates that diverged from a baseline.
+        let drivers: Vec<GateId> = netlist.outputs.iter().chain(&ppos).copied().collect();
+        let mut drives_index = vec![0u32; n + 1];
+        for d in &drivers {
+            drives_index[d.index() + 1] += 1;
+        }
+        for g in 0..n {
+            drives_index[g + 1] += drives_index[g];
+        }
+        let mut fill = drives_index.clone();
+        let mut drives_data = vec![0u32; drivers.len()];
+        for (o, d) in drivers.iter().enumerate() {
+            drives_data[fill[d.index()] as usize] = o as u32;
+            fill[d.index()] += 1;
+        }
+        let mut capture = vec![u32::MAX; n];
+        for (k, ff) in netlist.dffs.iter().enumerate() {
+            capture[ff.index()] = (netlist.outputs.len() + k) as u32;
+        }
+
         Ok(ScanView {
             pis: netlist.inputs.clone(),
             ppis: netlist.dffs.clone(),
@@ -168,6 +196,9 @@ impl ScanView {
             cf_data,
             cone_index,
             cone_data,
+            drives_index,
+            drives_data,
+            capture,
         })
     }
 
@@ -306,6 +337,28 @@ impl ScanView {
         self.input_cone(self.pis.len() + cell)
     }
 
+    /// The combinational outputs (PO-then-PPO indices) whose driver is
+    /// `id` — empty for a gate that drives none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from the same netlist.
+    pub fn outputs_driven_by(&self, id: GateId) -> &[u32] {
+        let gi = id.index();
+        &self.drives_data[self.drives_index[gi] as usize..self.drives_index[gi + 1] as usize]
+    }
+
+    /// The combinational output (a PPO) that scan cell `id` captures into,
+    /// or `None` if `id` is not a scan cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from the same netlist.
+    pub fn capture_output(&self, id: GateId) -> Option<usize> {
+        let o = self.capture[id.index()];
+        (o != u32::MAX).then_some(o as usize)
+    }
+
     /// The combinational-input index of a gate if it is a PI or PPI.
     pub fn input_index_of(&self, id: GateId) -> Option<usize> {
         self.pis.iter().position(|&g| g == id).or_else(|| {
@@ -346,6 +399,27 @@ mod tests {
         assert_eq!(v.output_gate(0), n.find("F").unwrap());
         assert_eq!(v.output_gate(1), n.find("E").unwrap());
         assert_eq!(v.output_gate(2), n.find("D").unwrap());
+    }
+
+    #[test]
+    fn output_drivers_and_captures_invert_the_output_map() {
+        let mut b = NetlistBuilder::new("shared");
+        b.add_input("i").unwrap();
+        b.add_dff("q", "y").unwrap();
+        b.add_gate("y", GateKind::And, &["i", "q"]).unwrap();
+        b.mark_output("y").unwrap();
+        b.mark_output("i").unwrap();
+        let n = b.build().unwrap();
+        let v = n.scan_view().unwrap();
+        // y drives PO 0 and the PPO of q (output 2); i drives PO 1.
+        assert_eq!(v.outputs_driven_by(n.find("y").unwrap()), &[0, 2]);
+        assert_eq!(v.outputs_driven_by(n.find("i").unwrap()), &[1]);
+        assert!(v.outputs_driven_by(n.find("q").unwrap()).is_empty());
+        assert_eq!(v.capture_output(n.find("q").unwrap()), Some(2));
+        assert_eq!(v.capture_output(n.find("y").unwrap()), None);
+        for o in 0..v.output_count() {
+            assert!(v.outputs_driven_by(v.output_gate(o)).contains(&(o as u32)));
+        }
     }
 
     #[test]

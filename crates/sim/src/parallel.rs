@@ -71,7 +71,13 @@ pub struct ParallelSim<'a> {
     touched: Vec<GateId>,
     /// Signal words of the seeded baseline sweep (valid iff `base_valid`).
     base_words: Vec<u64>,
+    /// Stimulus and output words of the seeded baseline sweep.
+    base_inputs: Vec<u64>,
+    base_outputs: Vec<u64>,
     base_valid: bool,
+    /// Whether the baseline was seeded without injections, so an output can
+    /// only differ from it through a diverged driver or a capture injection.
+    base_clean: bool,
     /// Combinational gates carrying injections in the baseline sweep; they
     /// must be re-evaluated by every incremental sweep (removing an
     /// injection changes a gate's function just like adding one).
@@ -99,7 +105,10 @@ impl<'a> ParallelSim<'a> {
             inj_by_gate: Vec::new(),
             touched: Vec::new(),
             base_words: Vec::new(),
+            base_inputs: Vec::new(),
+            base_outputs: Vec::new(),
             base_valid: false,
+            base_clean: false,
             base_inj_gates: Vec::new(),
             base_dirty: Vec::new(),
             queued: vec![false; netlist.gate_count()],
@@ -149,6 +158,10 @@ impl<'a> ParallelSim<'a> {
     pub fn seed_baseline(&mut self, input_words: &[u64], injections: &[Injection]) {
         self.eval(input_words, injections);
         self.base_words.clone_from(&self.words);
+        self.base_inputs.clear();
+        self.base_inputs.extend_from_slice(input_words);
+        self.base_outputs.clone_from(&self.outputs);
+        self.base_clean = injections.is_empty();
         self.base_inj_gates.clear();
         for inj in injections {
             if self.netlist.gate(inj.gate).kind().is_combinational() {
@@ -252,15 +265,97 @@ impl<'a> ParallelSim<'a> {
                 self.enqueue(inj.gate);
             }
         }
+        self.drain();
+        self.read_outputs();
+    }
+
+    /// Runs one incremental sweep that keeps the seeded baseline's own
+    /// stimulus and applies only `injections`, and returns the **detection
+    /// mask**: bit `s` is set iff some combinational output of machine `s`
+    /// differs from the baseline's machine `s`.
+    ///
+    /// The mask equals OR-ing `output_word(o) ^ baseline output o` over
+    /// every output after `eval_incremental(baseline stimulus, injections)`.
+    /// On a baseline seeded without injections (the fault simulator's
+    /// case) the work is bounded by the injection cones: no stimulus word
+    /// is compared, and only the outputs of diverged drivers and of
+    /// capture-injected cells are read. This is the inner loop of both
+    /// fault-simulation shapes: 64 faults against one broadcast pattern
+    /// (one injection per slot), and one fault against 64 patterns (one
+    /// injection across every slot).
+    ///
+    /// On that fast path [`output_word`](Self::output_word) is left
+    /// untouched; the next [`eval_incremental`](Self::eval_incremental) or
+    /// `detect_mask` restores the baseline as usual.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no baseline is seeded, or if an injection names an
+    /// out-of-range pin.
+    pub fn detect_mask(&mut self, injections: &[Injection]) -> u64 {
+        assert!(self.base_valid, "detect_mask needs a seeded baseline");
+        if !self.base_clean {
+            // This call may drop a baseline injection, which moves signals
+            // and outputs the injection-driven path below cannot see: take
+            // the general sweep and compare every output.
+            let inputs = std::mem::take(&mut self.base_inputs);
+            self.eval_incremental(&inputs, injections);
+            self.base_inputs = inputs;
+            return self
+                .outputs
+                .iter()
+                .zip(&self.base_outputs)
+                .fold(0, |acc, (w, b)| acc | (w ^ b));
+        }
+        for i in std::mem::take(&mut self.base_dirty) {
+            self.words[i.index()] = self.base_words[i.index()];
+        }
+        self.index_injections(injections);
+        for inj in injections {
+            let gate = inj.gate;
+            if self.netlist.gate(gate).kind().is_combinational() {
+                self.enqueue(gate);
+            } else if inj.pin.is_none() {
+                // A source stem: the only way a source word can move when
+                // the stimulus is the baseline's own (which, on a clean
+                // baseline, is exactly its recorded word).
+                let eff = self.source_word(gate, self.base_words[gate.index()]);
+                if eff != self.words[gate.index()] {
+                    self.words[gate.index()] = eff;
+                    self.base_dirty.push(gate);
+                    self.enqueue_fanout(gate);
+                }
+            }
+        }
+        self.drain();
+
+        let mut diff = 0u64;
+        for &g in &self.base_dirty {
+            for &o in self.view.outputs_driven_by(g) {
+                diff |= self.output_value(o as usize) ^ self.base_outputs[o as usize];
+            }
+        }
+        for inj in injections {
+            // Capture injections alter a PPO without touching any signal.
+            if let (Some(0), Some(o)) = (inj.pin, self.view.capture_output(inj.gate)) {
+                diff |= self.output_value(o) ^ self.base_outputs[o];
+            }
+        }
+        diff
+    }
+
+    /// Seeds the worklist with the baseline's injected gates (removing an
+    /// injection changes a gate's function just like adding one), then
+    /// drains the buckets in increasing level order: every fanin of a
+    /// level-n gate is final once levels < n are drained, so one visit per
+    /// gate suffices and exact equality suppresses further propagation.
+    fn drain(&mut self) {
         let base_inj = std::mem::take(&mut self.base_inj_gates);
         for &g in &base_inj {
             self.enqueue(g);
         }
         self.base_inj_gates = base_inj;
 
-        // Drain buckets in increasing level order: every fanin of a level-n
-        // gate is final once levels < n are drained, so one visit per gate
-        // suffices and exact equality suppresses further propagation.
         let mut evaluated = 0u64;
         for lvl in 1..self.buckets.len() {
             let mut bucket = std::mem::take(&mut self.buckets[lvl]);
@@ -280,9 +375,8 @@ impl<'a> ParallelSim<'a> {
             self.buckets[lvl] = bucket;
         }
         self.gates_evaluated.add(evaluated);
-        self.events_saved.add(total as u64 - evaluated);
-
-        self.read_outputs();
+        self.events_saved
+            .add(self.view.order().len() as u64 - evaluated);
     }
 
     /// Indexes `injections` by gate into `inj_flag` / `inj_by_gate`,
@@ -355,20 +449,24 @@ impl<'a> ParallelSim<'a> {
     /// Reads outputs; DFF input-pin injections hit the captured PPO value.
     fn read_outputs(&mut self) {
         for o in 0..self.view.output_count() {
-            let driver = self.view.output_gate(o);
-            let mut w = self.words[driver.index()];
-            if o >= self.view.po_count() {
-                let ff = self.view.ppis()[o - self.view.po_count()];
-                if self.inj_flag[ff.index()] != 0 {
-                    for inj in &self.inj_by_gate[(self.inj_flag[ff.index()] - 1) as usize] {
-                        if inj.pin == Some(0) {
-                            w = apply(w, inj.stuck, inj.slots);
-                        }
+            self.outputs[o] = self.output_value(o);
+        }
+    }
+
+    /// The current word of output `o`, with capture injections applied.
+    fn output_value(&self, o: usize) -> u64 {
+        let mut w = self.words[self.view.output_gate(o).index()];
+        if o >= self.view.po_count() {
+            let ff = self.view.ppis()[o - self.view.po_count()];
+            if self.inj_flag[ff.index()] != 0 {
+                for inj in &self.inj_by_gate[(self.inj_flag[ff.index()] - 1) as usize] {
+                    if inj.pin == Some(0) {
+                        w = apply(w, inj.stuck, inj.slots);
                     }
                 }
             }
-            self.outputs[o] = w;
         }
+        w
     }
 
     /// The 64-slot value of any signal after the last sweep.
@@ -619,6 +717,65 @@ mod tests {
             }
             for o in 0..v.output_count() {
                 assert_eq!(inc.output_word(o), full.output_word(o), "round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn detect_mask_matches_incremental_output_diff() {
+        use tvs_logic::Prng;
+
+        let n = fig1();
+        let v = n.scan_view().unwrap();
+        let mut fast = ParallelSim::new(&n, &v);
+        let mut oracle = ParallelSim::new(&n, &v);
+        let mut rng = Prng::seed_from_u64(0xD37);
+        let all: Vec<GateId> = n.gate_ids().collect();
+        for base_injected in [false, true] {
+            let base = [rng.next_u64(), rng.next_u64(), rng.next_u64()];
+            // An injected baseline carries a combinational stem, a source
+            // stem and a capture injection, each of which a later call drops.
+            let base_inj: Vec<Injection> = if base_injected {
+                [("E", None), ("a", None), ("b", Some(0))]
+                    .into_iter()
+                    .map(|(name, pin)| Injection {
+                        gate: n.find(name).unwrap(),
+                        pin,
+                        stuck: rng.next_bool(),
+                        slots: rng.next_u64(),
+                    })
+                    .collect()
+            } else {
+                vec![]
+            };
+            fast.seed_baseline(&base, &base_inj);
+            oracle.seed_baseline(&base, &base_inj);
+            let good: Vec<u64> = (0..v.output_count())
+                .map(|o| oracle.output_word(o))
+                .collect();
+            for round in 0..96 {
+                // Stems, branches and DFF captures, in random slot masks.
+                let injections: Vec<Injection> = (0..1 + round % 3)
+                    .map(|_| {
+                        let gate = all[rng.gen_range(0..all.len())];
+                        let arity = n.gate(gate).fanin().len();
+                        let pin = if arity > 0 && rng.next_bool() {
+                            Some(rng.gen_range(0..arity) as u32)
+                        } else {
+                            None
+                        };
+                        Injection {
+                            gate,
+                            pin,
+                            stuck: rng.next_bool(),
+                            slots: rng.next_u64(),
+                        }
+                    })
+                    .collect();
+                oracle.eval_incremental(&base, &injections);
+                let expect =
+                    (0..v.output_count()).fold(0, |acc, o| acc | (oracle.output_word(o) ^ good[o]));
+                assert_eq!(fast.detect_mask(&injections), expect, "round {round}");
             }
         }
     }

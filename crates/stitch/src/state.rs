@@ -13,7 +13,7 @@ use tvs_exec::{inject, Budget, ThreadPool};
 use tvs_logic::{BitVec, Cube, Prng};
 
 use tvs_atpg::{generate_tests, Podem, PodemConfig, PodemResult};
-use tvs_fault::{detect_parallel, Fault, Scoap, SimSession, StaticPrune};
+use tvs_fault::{Fault, Scoap, SimSession, StaticPrune};
 use tvs_scan::CostModel;
 
 use crate::config::config_fingerprint;
@@ -22,6 +22,9 @@ use crate::run::{PodemVerdict, PrescreenRecord, PrescreenTrace, StitchError, Sto
 use crate::snapshot::{FaultEntry, Snapshot, SnapshotError};
 use crate::strategy::StrategyCtx;
 use crate::{CycleRecord, FaultSets, FaultState, StitchConfig};
+
+/// Random-pattern rounds of the prescreen, before PODEM sees the survivors.
+const PRESCREEN_ROUNDS: usize = 8;
 
 /// Mutable state of one `run` invocation.
 pub(crate) struct RunState<'r, 'a> {
@@ -390,52 +393,57 @@ impl<'r, 'a> RunState<'r, 'a> {
         let planned = |i: usize| plan.and_then(|p| p[i]);
         let mut records: Vec<PrescreenRecord> = vec![PrescreenRecord::default(); faults.len()];
         let mut testable = vec![false; faults.len()];
+        // The random rounds run as one pattern-parallel sweep per live
+        // fault: all PRESCREEN_ROUNDS patterns are drawn up front and a
+        // fault's first detecting round is the lowest set bit of its mask.
+        // Planned faults replay their recorded round instead. The rounds
+        // are then replayed in order from those first-detect rounds, so the
+        // per-round budget charges and the patterns the PRNG stream gives
+        // up are exactly those of a round-by-round simulation.
+        let start = self.rng.clone();
+        let patterns: Vec<BitVec> = (0..PRESCREEN_ROUNDS)
+            .map(|_| self.random_pattern())
+            .collect();
+        let mut first: Vec<Option<u8>> = vec![None; faults.len()];
+        let mut live: Vec<usize> = Vec::new();
+        for (i, slot) in first.iter_mut().enumerate() {
+            match planned(i) {
+                Some(rec) => *slot = rec.first_detect_round,
+                None => live.push(i),
+            }
+        }
+        if !live.is_empty() {
+            let subset: Vec<Fault> = live.iter().map(|&i| faults[i]).collect();
+            let masks = match self.session.detect_patterns(&patterns, &subset) {
+                Ok(masks) => masks,
+                Err(_) => unreachable!("prescreen rounds are view-width patterns"),
+            };
+            for (&i, mask) in live.iter().zip(masks) {
+                first[i] = (mask != 0).then(|| mask.trailing_zeros() as u8);
+            }
+        }
         let mut alive: Vec<usize> = (0..faults.len()).collect();
-        for round in 0..8u8 {
+        let mut rounds = 0usize;
+        for round in 0..PRESCREEN_ROUNDS as u8 {
             if alive.is_empty() {
                 break;
             }
-            let pattern: BitVec = (0..self.eng.view.input_count())
-                .map(|_| self.rng.next_bool())
-                .collect();
+            rounds += 1;
             self.budget.charge(alive.len() as u64);
-            // Planned faults replay their recorded detection round; the
-            // rest are simulated. The simulated subset keeps alive order,
-            // so a plan-free call builds exactly the cold subset.
-            let mut hit = vec![false; alive.len()];
-            let mut live_slots: Vec<usize> = Vec::new();
-            for (slot, &i) in alive.iter().enumerate() {
-                match planned(i) {
-                    Some(rec) => hit[slot] = rec.first_detect_round == Some(round),
-                    None => live_slots.push(slot),
+            alive.retain(|&i| {
+                if first[i] == Some(round) {
+                    testable[i] = true;
+                    records[i].first_detect_round = Some(round);
+                    false
+                } else {
+                    true
                 }
-            }
-            if !live_slots.is_empty() {
-                let subset: Vec<Fault> = live_slots.iter().map(|&s| faults[alive[s]]).collect();
-                let hits = detect_parallel(
-                    self.eng.netlist,
-                    &self.eng.view,
-                    &self.pool,
-                    &pattern,
-                    &subset,
-                );
-                for (&slot, h) in live_slots.iter().zip(hits) {
-                    hit[slot] = h;
-                }
-            }
-            alive = alive
-                .into_iter()
-                .zip(hit)
-                .filter_map(|(i, h)| {
-                    if h {
-                        testable[i] = true;
-                        records[i].first_detect_round = Some(round);
-                        None
-                    } else {
-                        Some(i)
-                    }
-                })
-                .collect();
+            });
+        }
+        // Give back the patterns of rounds that never ran.
+        self.rng = start;
+        for _ in 0..rounds {
+            self.random_pattern();
         }
         let free = Cube::unspecified(self.eng.view.input_count());
         let mut tracked: Vec<Fault> = Vec::with_capacity(faults.len());
@@ -546,6 +554,13 @@ impl<'r, 'a> RunState<'r, 'a> {
         self.prescreen_trace = Some(PrescreenTrace { records, reused });
         self.sets = FaultSets::new(tracked);
         Ok(())
+    }
+
+    /// Draws one fully specified pattern over the view's inputs.
+    fn random_pattern(&mut self) -> BitVec {
+        (0..self.eng.view.input_count())
+            .map(|_| self.rng.next_bool())
+            .collect()
     }
 
     /// Session-backed fault detection under a shared stimulus. The engine

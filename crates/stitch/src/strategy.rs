@@ -36,7 +36,7 @@ use tvs_exec::Budget;
 use tvs_logic::{BitVec, Prng};
 use tvs_netlist::{Netlist, ScanView};
 
-use tvs_fault::{Fault, FaultSim, Scoap, SlotSpec};
+use tvs_fault::{Fault, FaultSim, Scoap, SimSession, SlotSpec};
 
 use crate::policy::Ratio;
 use crate::{FaultSets, SelectionStrategy, ShiftPolicy};
@@ -302,37 +302,25 @@ struct AdiOrdering;
 impl AdiOrdering {
     /// Per-fault accidental-detection counts over a seeded random-pattern
     /// fault-sim pass (full observation: any output difference counts).
+    /// All [`ADI_PATTERNS`] patterns share one pattern-parallel sweep per
+    /// fault, so a count is the popcount of the fault's detection mask.
     fn detection_counts(ctx: &mut StrategyCtx<'_>) -> Vec<u64> {
         let faults: Vec<Fault> = (0..ctx.sets.len()).map(|i| ctx.sets.fault(i)).collect();
-        let mut counts = vec![0u64; faults.len()];
         let mut rng = Prng::seed_from_u64(ctx.seed ^ ADI_SALT);
-        let mut fsim = FaultSim::new(ctx.netlist, ctx.view);
-        for _ in 0..ADI_PATTERNS {
-            let pattern: BitVec = (0..ctx.view.input_count())
-                .map(|_| rng.next_bool())
-                .collect();
-            ctx.budget.charge(faults.len() as u64);
-            let good = fsim.good_outputs(&pattern);
-            for (chunk_i, chunk) in faults.chunks(63).enumerate() {
-                let slots: Vec<SlotSpec<'_>> = chunk
-                    .iter()
-                    .map(|&f| SlotSpec {
-                        stimulus: &pattern,
-                        fault: Some(f),
-                    })
-                    .collect();
-                let outs = match fsim.run_slots(&slots) {
-                    Ok(outs) => outs,
-                    Err(_) => unreachable!("63 view-width slots per sweep"),
-                };
-                for (j, out) in outs.iter().enumerate() {
-                    if out != &good {
-                        counts[chunk_i * 63 + j] += 1;
-                    }
-                }
-            }
-        }
-        counts
+        let patterns: Vec<BitVec> = (0..ADI_PATTERNS)
+            .map(|_| {
+                ctx.budget.charge(faults.len() as u64);
+                (0..ctx.view.input_count())
+                    .map(|_| rng.next_bool())
+                    .collect()
+            })
+            .collect();
+        let mut session = SimSession::new(ctx.netlist, ctx.view);
+        let masks = match session.detect_patterns(&patterns, &faults) {
+            Ok(masks) => masks,
+            Err(_) => unreachable!("16 view-width patterns per sweep"),
+        };
+        masks.iter().map(|m| u64::from(m.count_ones())).collect()
     }
 }
 
