@@ -22,20 +22,23 @@ cargo run -q -p tvs-lint --release --offline --bin tvs-lint -- --workspace --for
 # over every built-in circuit profile:
 cargo run -q --release --offline --bin tvs -- lint --testability --profiles > /dev/null
 
-# Abstract interpretation of emitted programs: stitch a tester program for
-# every built-in profile and require each to be SP006-clean (no capture may
-# depend on unestablished power-up state; `tvs lint --program` exits
-# nonzero on any deny). The six small profiles run to completion; the
-# larger ones run under a deterministic work budget, stopping at a stage
-# boundary with a valid partial program — same interpreter contract, and
-# the budget is work units, so the emitted program is machine-independent.
+# Abstract interpretation and ATE replay of emitted programs: stitch a
+# tester program for every built-in profile (`tvs run --program`), require
+# each to be SP006-clean (no capture may depend on unestablished power-up
+# state; `tvs lint --program` exits nonzero on any deny), and replay it on
+# the fault-free virtual ATE (`tvs verify` exits 12 on any mismatch). The
+# six small profiles run to completion; the larger ones run under a
+# deterministic work budget, stopping at a stage boundary with a valid
+# partial program — same contracts, and the budget is work units, so the
+# emitted program is machine-independent.
 PROGS=$(mktemp -d)
 TVS=./target/release/tvs
 emit_and_interpret() { # <profile> [--budget N]
   local p=$1; shift
   "$TVS" gen "$p" "$PROGS/$p.bench" > /dev/null
-  "$TVS" program "$PROGS/$p.bench" "$PROGS/$p.tvp" "$@"
+  "$TVS" run "$PROGS/$p.bench" --program "$PROGS/$p.tvp" "$@"
   "$TVS" lint --program "$PROGS/$p.tvp" "$p" > "$PROGS/$p.lint"
+  "$TVS" verify "$PROGS/$p.bench" "$PROGS/$p.tvp"
 }
 for p in s444 s526 s641 s953 s1196 s1423; do
   emit_and_interpret "$p"

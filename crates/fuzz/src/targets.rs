@@ -109,10 +109,12 @@ fn build_request(rng: &mut FuzzRng) -> Value {
                 "seed", "fixed", "select", "vxor", "hxor", "budget", "bogus", "strategy",
             ][rng.range(8)]
             .to_string();
-            // The string pool mixes legacy selection names, valid strategy
-            // names, near-miss spellings (case drift, missing dash) and
-            // plain garbage: every unknown name must come back as a typed
-            // rejection, never a panic.
+            // `select` is an unknown key now (`strategy` is the only
+            // strategy key); it stays in the key pool so the seed schedule
+            // and every corpus seed replay unchanged. The string pool mixes
+            // valid strategy names, near-miss spellings (case drift,
+            // missing dash) and plain garbage: every unknown key or name
+            // must come back as a typed rejection, never a panic.
             let value = match rng.range(4) {
                 0 => Value::num_u64(u64::from(rng.u16())),
                 1 => Value::str(

@@ -141,7 +141,6 @@ fn submit(client: &mut Client, args: &[&String]) -> Result<(), Failure> {
             "--name" => name = Some(take("a name")?),
             "--seed" => config.push(("seed".into(), num(take("a seed")?)?)),
             "--fixed" => config.push(("fixed".into(), num(take("a shift size")?)?)),
-            "--select" => config.push(("select".into(), Value::str(take("a strategy")?))),
             "--strategy" => config.push(("strategy".into(), Value::str(take("a strategy")?))),
             "--vxor" => config.push(("vxor".into(), Value::Bool(true))),
             "--hxor" => config.push(("hxor".into(), num(take("a tap count")?)?)),

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tvs_scan::{CaptureTransform, ObserveTransform};
-use tvs_stitch::{SelectionStrategy, ShiftPolicy, StitchConfig, StrategyId};
+use tvs_stitch::{ShiftPolicy, StitchConfig, StrategyId};
 
 use tvs_core::json::{self, Value};
 use tvs_core::{ArtifactStore, JobStatus, JobTable};
@@ -364,11 +364,11 @@ fn status_to_wire(status: &JobStatus) -> Value {
 }
 
 /// Builds a [`StitchConfig`] from the request's `config` object. Keys mirror
-/// the CLI's stitch options: `seed`, `fixed` (shift size), `select` (legacy
-/// selection names), `strategy` (any strategy-layer name), `vxor`, `hxor`
-/// (tap count), `budget`, `threads`. Absent keys keep defaults; unknown keys
-/// — and unknown strategy names — are rejected so typos cannot silently
-/// change a run's identity (and therefore its cache key).
+/// the stitch options of `tvs run`: `seed`, `fixed` (shift size), `strategy`
+/// (any strategy name), `vxor`, `hxor` (tap count), `budget`, `threads`.
+/// Absent keys keep defaults; unknown keys — and unknown strategy names —
+/// are rejected so typos cannot silently change a run's identity (and
+/// therefore its cache key).
 pub fn config_from_wire(value: Option<&Value>) -> Result<StitchConfig, ServeError> {
     let mut config = StitchConfig::default();
     let Some(value) = value else {
@@ -391,20 +391,6 @@ pub fn config_from_wire(value: Option<&Value>) -> Result<StitchConfig, ServeErro
                     .as_u64()
                     .ok_or_else(|| ServeError::Config("fixed must be a u64".to_owned()))?;
                 config.policy = ShiftPolicy::Fixed(k as usize);
-            }
-            "select" => {
-                let selection = match v.as_str() {
-                    Some("random") => SelectionStrategy::Random,
-                    Some("hardness") => SelectionStrategy::Hardness,
-                    Some("most") => SelectionStrategy::MostFaults,
-                    Some("weighted") => SelectionStrategy::Weighted,
-                    other => {
-                        return Err(ServeError::Config(format!(
-                            "unknown selection strategy {other:?}"
-                        )))
-                    }
-                };
-                config.strategy = StrategyId::from_selection(selection);
             }
             "strategy" => {
                 let name = v.as_str().unwrap_or_default();

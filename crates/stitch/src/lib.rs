@@ -32,7 +32,6 @@ mod metrics;
 mod policy;
 mod replay;
 mod run;
-mod select;
 mod sets;
 mod snapshot;
 mod state;
@@ -49,7 +48,6 @@ pub use run::{
     PodemVerdict, PrescreenRecord, PrescreenTrace, RunOptions, RunProgress, StitchError,
     StitchReport, Termination,
 };
-pub use select::SelectionStrategy;
 pub use sets::{FaultSets, FaultState, HiddenFault};
 pub use snapshot::{fnv1a, FaultEntry, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use strategy::{Strategy, StrategyCtx, StrategyId, ALL_STRATEGIES};

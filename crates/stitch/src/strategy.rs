@@ -6,11 +6,12 @@
 //! [`StitchConfig::fingerprint`](crate::StitchConfig::fingerprint) (and
 //! through it the snapshot header and the serving layer's `ArtifactKey`).
 //!
-//! The four legacy behaviors ([`SelectionStrategy`]) are reimplemented as
-//! trait impls, bit-identical to the closed-enum engine they replace: they
-//! touch neither the run PRNG (beyond the draws the old code made) nor the
-//! budget during [`Strategy::prepare`], so their result streams are
-//! unchanged. Three new strategies ride on the same surface:
+//! The paper's four §6.3 selection behaviors (random, hardness, most
+//! faults, weighted) are one trait impl, bit-identical to the closed-enum
+//! engine it replaced: they touch neither the run PRNG (beyond the draws
+//! the old code made) nor the budget during [`Strategy::prepare`], so
+//! their result streams are unchanged. Three new strategies ride on the
+//! same surface:
 //!
 //! * [`StrategyId::Adi`] — accidental-detection-index ordering (Pomeranz/
 //!   Reddy, arXiv:0710.4637): a seeded random fault-sim pass counts how
@@ -39,7 +40,7 @@ use tvs_netlist::{Netlist, ScanView};
 use tvs_fault::{Fault, FaultSim, Scoap, SimSession, SlotSpec};
 
 use crate::policy::Ratio;
-use crate::{FaultSets, SelectionStrategy, ShiftPolicy};
+use crate::{FaultSets, ShiftPolicy};
 
 /// The borrowed slice of run state a strategy decision sees.
 ///
@@ -139,8 +140,8 @@ pub trait Strategy: Send + Sync {
 /// Identifier of a [`Strategy`], carried by
 /// [`StitchConfig`](crate::StitchConfig).
 ///
-/// The four legacy behaviors keep their [`SelectionStrategy`] names; the
-/// three strategy-layer additions get their own variants. The identifier
+/// The paper's four §6.3 selection behaviors and the three strategy-layer
+/// additions each get one variant. The identifier
 /// (not the trait object) is what configs store, wires serialize and
 /// fingerprints hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -194,42 +195,13 @@ impl StrategyId {
         self.resolve().name()
     }
 
-    /// The legacy selection behavior this maps onto, if any.
-    pub fn as_selection(&self) -> Option<SelectionStrategy> {
-        match self {
-            StrategyId::Random => Some(SelectionStrategy::Random),
-            StrategyId::Hardness => Some(SelectionStrategy::Hardness),
-            StrategyId::MostFaults => Some(SelectionStrategy::MostFaults),
-            StrategyId::Weighted => Some(SelectionStrategy::Weighted),
-            _ => None,
-        }
-    }
-
-    /// The legacy strategy id for a [`SelectionStrategy`].
-    pub fn from_selection(selection: SelectionStrategy) -> StrategyId {
-        match selection {
-            SelectionStrategy::Random => StrategyId::Random,
-            SelectionStrategy::Hardness => StrategyId::Hardness,
-            SelectionStrategy::MostFaults => StrategyId::MostFaults,
-            SelectionStrategy::Weighted => StrategyId::Weighted,
-        }
-    }
-
     /// The strategy implementation behind this identifier.
     pub fn resolve(&self) -> &'static dyn Strategy {
         match self {
-            StrategyId::Random => &SelectOrdering {
-                selection: SelectionStrategy::Random,
-            },
-            StrategyId::Hardness => &SelectOrdering {
-                selection: SelectionStrategy::Hardness,
-            },
-            StrategyId::MostFaults => &SelectOrdering {
-                selection: SelectionStrategy::MostFaults,
-            },
-            StrategyId::Weighted => &SelectOrdering {
-                selection: SelectionStrategy::Weighted,
-            },
+            StrategyId::Random => &SelectOrdering(StrategyId::Random),
+            StrategyId::Hardness => &SelectOrdering(StrategyId::Hardness),
+            StrategyId::MostFaults => &SelectOrdering(StrategyId::MostFaults),
+            StrategyId::Weighted => &SelectOrdering(StrategyId::Weighted),
             StrategyId::Adi => &AdiOrdering,
             StrategyId::SchemeSearch => &SchemeSearch,
             StrategyId::Buckets => &HardnessBuckets,
@@ -241,18 +213,18 @@ impl StrategyId {
 // Legacy behaviors through the trait (bit-identical to the closed enums).
 // ---------------------------------------------------------------------------
 
-/// The four paper-§6.3 behaviors, parameterized by their ordering.
-struct SelectOrdering {
-    selection: SelectionStrategy,
-}
+/// The four paper-§6.3 behaviors, keyed by their id. Only `Random`,
+/// `Hardness`, `MostFaults` and `Weighted` resolve here, so every `_` arm
+/// below is `MostFaults`.
+struct SelectOrdering(StrategyId);
 
 impl Strategy for SelectOrdering {
     fn name(&self) -> &'static str {
-        match self.selection {
-            SelectionStrategy::Random => "random",
-            SelectionStrategy::Hardness => "hardness",
-            SelectionStrategy::MostFaults => "most",
-            SelectionStrategy::Weighted => "weighted",
+        match self.0 {
+            StrategyId::Random => "random",
+            StrategyId::Hardness => "hardness",
+            StrategyId::Weighted => "weighted",
+            _ => "most",
         }
     }
 
@@ -261,19 +233,19 @@ impl Strategy for SelectOrdering {
     }
 
     fn is_greedy(&self) -> bool {
-        self.selection.is_greedy()
+        !matches!(self.0, StrategyId::Random | StrategyId::Hardness)
     }
 
     fn weighted_scoring(&self) -> bool {
-        self.selection == SelectionStrategy::Weighted
+        self.0 == StrategyId::Weighted
     }
 
     fn order_targets(&self, ctx: &mut StrategyCtx<'_>, targets: &mut Vec<usize>) {
-        match self.selection {
-            SelectionStrategy::Random => ctx.rng.shuffle(targets),
+        match self.0 {
+            StrategyId::Random => ctx.rng.shuffle(targets),
             // Hardness/Weighted: hard faults get first claim on the still-
             // loose constraint (the paper's §6.3 rationale).
-            SelectionStrategy::Hardness | SelectionStrategy::Weighted => {
+            StrategyId::Hardness | StrategyId::Weighted => {
                 targets.sort_by_key(|&i| std::cmp::Reverse(ctx.hardness(i)));
             }
             // MostFaults: candidates come from easy targets first — they
@@ -281,7 +253,7 @@ impl Strategy for SelectOrdering {
             // (the paper's §6.1: "easy-to-test faults dominate" the early,
             // small-shift stage), and the greedy scoring then picks the
             // best of the pool.
-            SelectionStrategy::MostFaults => {
+            _ => {
                 targets.sort_by_key(|&i| ctx.hardness(i));
             }
         }
@@ -786,27 +758,22 @@ mod tests {
     #[test]
     fn default_is_the_papers_winner() {
         assert_eq!(StrategyId::default(), StrategyId::MostFaults);
-        assert_eq!(
-            StrategyId::default().as_selection(),
-            Some(SelectionStrategy::MostFaults)
-        );
     }
 
     #[test]
-    fn legacy_flags_match_the_selection_enum() {
-        for sel in [
-            SelectionStrategy::Random,
-            SelectionStrategy::Hardness,
-            SelectionStrategy::MostFaults,
-            SelectionStrategy::Weighted,
-        ] {
-            let id = StrategyId::from_selection(sel);
-            assert_eq!(id.resolve().is_greedy(), sel.is_greedy());
+    fn only_the_papers_greedy_schemes_score_candidates() {
+        let greedy = |id: StrategyId| id.resolve().is_greedy();
+        assert!(!greedy(StrategyId::Random));
+        assert!(!greedy(StrategyId::Hardness));
+        assert!(greedy(StrategyId::MostFaults));
+        assert!(greedy(StrategyId::Weighted));
+        for id in ALL_STRATEGIES {
             assert_eq!(
                 id.resolve().weighted_scoring(),
-                sel == SelectionStrategy::Weighted
+                id == StrategyId::Weighted,
+                "{}",
+                id.name()
             );
-            assert_eq!(id.as_selection(), Some(sel));
         }
     }
 

@@ -4,10 +4,9 @@
 //! tvs stats   <circuit.bench>                circuit statistics
 //! tvs faults  <circuit.bench>                collapsed fault list summary
 //! tvs atpg    <circuit.bench>                conventional full-shift ATPG
-//! tvs stitch  <circuit.bench> [options]      stitched test generation
-//! tvs run     <circuit.bench> [options]      stitched generation with budgets
-//!                                            and checkpoint/resume
-//! tvs program <circuit.bench> <out.tvp>      stitch and export a tester program
+//! tvs run     <circuit.bench> [options]      stitched test generation with
+//!                                            budgets, checkpoint/resume and
+//!                                            tester-program export
 //! tvs verify  <circuit.bench> <prog.tvp>     execute a program on the virtual ATE
 //! tvs gen     <name|profile> <out.bench>     synthesize a calibrated benchmark
 //! tvs lint    [options] [circuit.bench ...]  static analysis (IR + determinism)
@@ -17,28 +16,32 @@
 //!                                            serve daemons with health checks
 //! tvs fuzz    --target <t> [options]         deterministic structured fuzzing
 //!                                            of the toolkit's input surfaces
+//! tvs bench   strategies|delta [options]     byte-stable benchmark sweeps
 //! ```
 //!
-//! Stitch options: `--vxor`, `--hxor <g>`, `--fixed <k>`,
-//! `--select random|hardness|most|weighted`, `--seed <n>`, `--budget <n>`,
-//! `--threads <n>` (also the `TVS_THREADS` environment variable), `--stats`.
+//! Run options: `--vxor`, `--hxor <g>`, `--fixed <k>`, `--strategy <s>`,
+//! `--seed <n>`, `--budget <n>`, `--threads <n>` (also the `TVS_THREADS`
+//! environment variable), `--stats`, `--program <out.tvp>`, plus the
+//! checkpoint and delta options listed by `tvs help`.
 //!
-//! Every failure maps to a [`TvsError`] and its structured exit code
+//! Each subcommand declares its flags in one table ([`Flags`]) that a single
+//! parser ([`Cli`]) reads; an unknown flag or a stray operand is a usage
+//! error. Every failure maps to a [`TvsError`] and its structured exit code
 //! (2 usage, 3 malformed input, 4 engine, 5 snapshot, 6 I/O, 7 lint,
-//! 8 serve, 9 fleet, 10 fuzz); exit code 1 stays reserved for panics.
+//! 8 serve, 9 fleet, 10 fuzz, 11 bench gate, 12 program failed on the
+//! virtual ATE); exit code 1 stays reserved for panics.
 
 use std::fs;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use tvs::ate::{Dut, TestProgram, VirtualAte};
+use tvs::ate::{Dut, TestOutcome, TestProgram, VirtualAte};
 use tvs::atpg::{generate_tests, AtpgConfig};
 use tvs::fault::FaultList;
 use tvs::netlist::{bench, Netlist};
 use tvs::scan::{CaptureTransform, ObserveTransform};
 use tvs::stitch::{
-    RunOptions, SelectionStrategy, ShiftPolicy, Snapshot, StitchConfig, StitchEngine, StitchReport,
-    StrategyId, Termination,
+    RunOptions, ShiftPolicy, Snapshot, StitchConfig, StitchEngine, StrategyId, Termination,
 };
 use tvs::TvsError;
 
@@ -59,9 +62,7 @@ fn run() -> Result<(), TvsError> {
         "stats" => stats(&args[1..]),
         "faults" => faults(&args[1..]),
         "atpg" => atpg(&args[1..]),
-        "stitch" => stitch(&args[1..]),
         "run" => run_cmd(&args[1..]),
-        "program" => program(&args[1..]),
         "verify" => verify(&args[1..]),
         "gen" => gen(&args[1..]),
         "lint" => lint(&args[1..]),
@@ -69,10 +70,13 @@ fn run() -> Result<(), TvsError> {
         "fleet" => fleet(&args[1..]),
         "fuzz" => fuzz(&args[1..]),
         "bench" => bench_cmd(&args[1..]),
-        _ => {
+        "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
         }
+        other => Err(TvsError::usage(format!(
+            "unknown command {other:?} (see tvs help)"
+        ))),
     }
 }
 
@@ -82,10 +86,9 @@ tvs — test vector stitching toolkit (DATE 2003 reproduction)
   tvs stats   <circuit.bench>              circuit statistics
   tvs faults  <circuit.bench>              collapsed fault list summary
   tvs atpg    <circuit.bench>              conventional full-shift ATPG
-  tvs stitch  <circuit.bench> [options]    stitched test generation
-  tvs run     <circuit.bench> [options]    stitched generation with budgets
-                                           and checkpoint/resume
-  tvs program <circuit.bench> <out.tvp>    stitch and export a tester program
+  tvs run     <circuit.bench> [options]    stitched generation with budgets,
+                                           checkpoint/resume and tester-
+                                           program export
   tvs verify  <circuit.bench> <prog.tvp>   run a program on the virtual ATE
   tvs gen     <profile> <out.bench>        synthesize a calibrated benchmark
   tvs lint    [options] [circuit.bench …]  static analysis (IR + determinism)
@@ -112,12 +115,10 @@ lint options:
   --format <f>         text | json   (default: text)
   (no arguments at all: --profiles --workspace)
 
-stitch options (also accepted by run and program):
+run options:
   --vxor            vertical-XOR capture (paper Fig. 3)
   --hxor <g>        horizontal-XOR observation with g taps (paper Fig. 4)
   --fixed <k>       fixed shift size instead of the variable policy
-  --select <s>      random | hardness | most | weighted   (default: most;
-                    legacy spelling of --strategy)
   --strategy <s>    random | hardness | most | weighted | adi |
                     scheme-search | buckets   (default: most)
   --seed <n>        RNG seed
@@ -128,8 +129,7 @@ stitch options (also accepted by run and program):
   --threads <n>     worker threads (default: TVS_THREADS env, then all cores;
                     results are bit-identical at any thread count)
   --stats           print instrumentation counters and span timers after the run
-
-run options:
+  --program <f>     write the stitched tester program (.tvp) to f
   --checkpoint-every <n>   write a checkpoint snapshot every n cycles
   --checkpoint <file>      snapshot path (default: <circuit.bench>.tvsnap)
   --resume <file>          resume from a snapshot; the continued run is
@@ -199,9 +199,87 @@ bench delta options:
                     faults or falls below the floor
 
 exit codes: 0 ok · 2 usage · 3 bad input · 4 engine · 5 snapshot · 6 io ·
-7 lint · 8 serve · 9 fleet · 10 fuzz · 11 bench gate (1 stays reserved for
-panics)
+7 lint · 8 serve · 9 fleet · 10 fuzz · 11 bench gate · 12 program failed
+on the virtual ATE (1 stays reserved for panics)
 ";
+
+/// A subcommand's flag table: each flag's name and, for a flag that takes
+/// a value, what that value is (named in "missing …" and "malformed …"
+/// usage errors). `None` marks a switch.
+type Flags = &'static [(&'static str, Option<&'static str>)];
+
+/// One command line parsed against its subcommand's [`Flags`] table.
+struct Cli<'a> {
+    table: Flags,
+    operands: Vec<&'a str>,
+    flags: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Cli<'a> {
+    /// Splits `args` into the table's flags and at most `max_operands`
+    /// operands. A value flag takes the next argument verbatim; an unknown
+    /// `--` flag or an operand past `max_operands` is a usage error.
+    fn parse(args: &'a [String], table: Flags, max_operands: usize) -> Result<Self, TvsError> {
+        let mut cli = Cli {
+            table,
+            operands: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            match table.iter().find(|(name, _)| *name == arg) {
+                Some(&(name, None)) => cli.flags.push((name, None)),
+                Some(&(name, Some(what))) => {
+                    let value = args
+                        .next()
+                        .ok_or_else(|| TvsError::usage(format!("missing {what}")))?;
+                    cli.flags.push((name, Some(value)));
+                }
+                None if arg.starts_with("--") => {
+                    return Err(TvsError::usage(format!("unknown option {arg:?}")))
+                }
+                None if cli.operands.len() < max_operands => cli.operands.push(arg),
+                None => return Err(TvsError::usage(format!("unexpected operand {arg:?}"))),
+            }
+        }
+        Ok(cli)
+    }
+
+    /// The `i`-th operand, described as `what` when it is missing.
+    fn operand(&self, i: usize, what: &str) -> Result<&'a str, TvsError> {
+        self.operands
+            .get(i)
+            .copied()
+            .ok_or_else(|| TvsError::usage(format!("missing {what}")))
+    }
+
+    /// Whether the flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|&(n, _)| n == name)
+    }
+
+    /// The value of the flag `name`; the last occurrence wins.
+    fn text(&self, name: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|&&(n, _)| n == name)
+            .and_then(|&(_, value)| value)
+    }
+
+    /// The value of the flag `name` parsed as `T`.
+    fn value<T: FromStr>(&self, name: &str) -> Result<Option<T>, TvsError> {
+        let what = self
+            .table
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .and_then(|&(_, what)| what)
+            .unwrap_or(name);
+        self.text(name)
+            .map(|text| parse_value(text, what))
+            .transpose()
+    }
+}
 
 fn load(path: &str) -> Result<Netlist, TvsError> {
     let text = fs::read_to_string(path).map_err(|e| TvsError::io(path, e))?;
@@ -212,22 +290,25 @@ fn load(path: &str) -> Result<Netlist, TvsError> {
     Ok(bench::parse(name, &text)?)
 }
 
-fn need<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, TvsError> {
-    args.get(i)
-        .map(String::as_str)
-        .ok_or_else(|| TvsError::usage(format!("missing {what}")))
-}
-
-/// Parses a `--option value` operand, mapping malformed values to a usage
-/// error naming the option.
-fn parse_value<T: FromStr>(args: &[String], i: usize, what: &str) -> Result<T, TvsError> {
-    let text = need(args, i, what)?;
+/// Parses an option value, mapping malformed text to a usage error naming
+/// what the value is.
+fn parse_value<T: FromStr>(text: &str, what: &str) -> Result<T, TvsError> {
     text.parse()
         .map_err(|_| TvsError::usage(format!("malformed {what} {text:?}")))
 }
 
+/// Splits a comma-separated list option.
+fn list(text: &str) -> Vec<String> {
+    text.split(',').map(str::to_owned).collect()
+}
+
+/// The circuit a single-operand subcommand works on.
+fn circuit(args: &[String]) -> Result<Netlist, TvsError> {
+    load(Cli::parse(args, &[], 1)?.operand(0, "circuit path")?)
+}
+
 fn stats(args: &[String]) -> Result<(), TvsError> {
-    let netlist = load(need(args, 0, "circuit path")?)?;
+    let netlist = circuit(args)?;
     println!("{netlist}");
     println!("{}", netlist.stats());
     let view = netlist.scan_view()?;
@@ -241,7 +322,7 @@ fn stats(args: &[String]) -> Result<(), TvsError> {
 }
 
 fn faults(args: &[String]) -> Result<(), TvsError> {
-    let netlist = load(need(args, 0, "circuit path")?)?;
+    let netlist = circuit(args)?;
     let full = FaultList::full(&netlist);
     let collapsed = FaultList::collapsed(&netlist);
     println!(
@@ -255,7 +336,7 @@ fn faults(args: &[String]) -> Result<(), TvsError> {
 }
 
 fn atpg(args: &[String]) -> Result<(), TvsError> {
-    let netlist = load(need(args, 0, "circuit path")?)?;
+    let netlist = circuit(args)?;
     let set = generate_tests(&netlist, &AtpgConfig::default())?;
     println!(
         "{}: {} vectors, coverage {:.4}, {} redundant, {} aborted",
@@ -268,168 +349,83 @@ fn atpg(args: &[String]) -> Result<(), TvsError> {
     Ok(())
 }
 
-/// Parsed stitch-family options: the engine configuration plus whether the
-/// `--stats` instrumentation report was requested.
-struct StitchOpts {
-    config: StitchConfig,
-    stats: bool,
-}
-
-fn stitch_config(args: &[String]) -> Result<StitchOpts, TvsError> {
+/// The engine configuration a `tvs run` command line selects.
+fn run_config(cli: &Cli<'_>) -> Result<StitchConfig, TvsError> {
     let mut config = StitchConfig {
-        threads: tvs::exec::default_threads(),
+        threads: match cli.value::<usize>("--threads")? {
+            Some(threads) => threads.max(1),
+            None => tvs::exec::default_threads(),
+        },
+        budget: cli.value("--budget")?,
         ..StitchConfig::default()
     };
-    let mut stats = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--vxor" => config.capture = CaptureTransform::VerticalXor,
-            "--hxor" => {
-                config.observe =
-                    ObserveTransform::HorizontalXor(parse_value(args, i + 1, "tap count")?);
-                i += 1;
-            }
-            "--fixed" => {
-                config.policy = ShiftPolicy::Fixed(parse_value(args, i + 1, "shift size")?);
-                i += 1;
-            }
-            "--select" => {
-                let selection = match need(args, i + 1, "strategy")? {
-                    "random" => SelectionStrategy::Random,
-                    "hardness" => SelectionStrategy::Hardness,
-                    "most" => SelectionStrategy::MostFaults,
-                    "weighted" => SelectionStrategy::Weighted,
-                    other => return Err(TvsError::usage(format!("unknown strategy {other:?}"))),
-                };
-                config.strategy = StrategyId::from_selection(selection);
-                i += 1;
-            }
-            "--strategy" => {
-                let name = need(args, i + 1, "strategy")?;
-                config.strategy = StrategyId::parse(name).ok_or_else(|| {
-                    TvsError::usage(format!(
-                        "unknown strategy {name:?} (expected one of {})",
-                        tvs::stitch::ALL_STRATEGIES.map(|s| s.name()).join(", ")
-                    ))
-                })?;
-                i += 1;
-            }
-            "--seed" => {
-                config.seed = parse_value(args, i + 1, "seed")?;
-                i += 1;
-            }
-            "--budget" => {
-                config.budget = Some(parse_value(args, i + 1, "work budget")?);
-                i += 1;
-            }
-            "--threads" => {
-                config.threads = parse_value::<usize>(args, i + 1, "thread count")?.max(1);
-                i += 1;
-            }
-            "--stats" => stats = true,
-            other if other.starts_with("--") => {
-                return Err(TvsError::usage(format!("unknown option {other:?}")))
-            }
-            _ => {}
-        }
-        i += 1;
+    if cli.has("--vxor") {
+        config.capture = CaptureTransform::VerticalXor;
     }
-    Ok(StitchOpts { config, stats })
-}
-
-/// Renders the common stitch-report block (`tvs stitch` and `tvs run` share
-/// it, so the resume-equivalence guarantee is visible as identical stdout).
-fn print_report(name: &str, report: &StitchReport) {
-    println!("{}: {}", name, report.metrics);
-    let tail = report
-        .shifts
-        .get(1..report.shifts.len().min(9))
-        .unwrap_or(&[]);
-    println!(
-        "shift schedule: initial {} then {:?}… closing flush {}",
-        report.shifts.first().copied().unwrap_or(0),
-        tail,
-        report.final_flush
-    );
-    let (entered, converted, erased) = report.hidden_transitions;
-    println!("hidden faults: {entered} entered, {converted} caught, {erased} erased");
-}
-
-fn stitch(args: &[String]) -> Result<(), TvsError> {
-    let netlist = load(need(args, 0, "circuit path")?)?;
-    let opts = stitch_config(&args[1..])?;
-    let engine = StitchEngine::new(&netlist)?;
-    let report = engine.run(&opts.config)?;
-    print_report(netlist.name(), &report);
-    if opts.stats {
-        print!("{}", tvs::exec::report());
+    if let Some(taps) = cli.value("--hxor")? {
+        config.observe = ObserveTransform::HorizontalXor(taps);
     }
-    Ok(())
+    if let Some(k) = cli.value("--fixed")? {
+        config.policy = ShiftPolicy::Fixed(k);
+    }
+    if let Some(name) = cli.text("--strategy") {
+        config.strategy = StrategyId::parse(name).ok_or_else(|| {
+            TvsError::usage(format!(
+                "unknown strategy {name:?} (expected one of {})",
+                tvs::stitch::ALL_STRATEGIES.map(|s| s.name()).join(", ")
+            ))
+        })?;
+    }
+    if let Some(seed) = cli.value("--seed")? {
+        config.seed = seed;
+    }
+    Ok(config)
 }
 
 fn run_cmd(args: &[String]) -> Result<(), TvsError> {
-    let circuit_path = need(args, 0, "circuit path")?.to_owned();
-    let netlist = load(&circuit_path)?;
+    const FLAGS: Flags = &[
+        ("--vxor", None),
+        ("--hxor", Some("tap count")),
+        ("--fixed", Some("shift size")),
+        ("--strategy", Some("strategy")),
+        ("--seed", Some("seed")),
+        ("--budget", Some("work budget")),
+        ("--threads", Some("thread count")),
+        ("--stats", None),
+        ("--program", Some("program path")),
+        ("--checkpoint-every", Some("checkpoint interval")),
+        ("--checkpoint", Some("checkpoint path")),
+        ("--resume", Some("resume path")),
+        ("--stats-json", Some("stats json path")),
+        ("--delta-from", Some("ancestor artifact key")),
+        ("--cache-dir", Some("cache directory")),
+    ];
+    let cli = Cli::parse(args, FLAGS, 1)?;
+    let circuit_path = cli.operand(0, "circuit path")?;
+    let netlist = load(circuit_path)?;
+    let config = run_config(&cli)?;
+    let checkpoint_every = cli.value("--checkpoint-every")?.unwrap_or(0);
+    let delta_from = cli.text("--delta-from");
+    let cache_dir = cli.text("--cache-dir");
 
-    // Split the run-only options out; everything else is stitch options.
-    let mut checkpoint_every = 0usize;
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut stats_json_path: Option<String> = None;
-    let mut delta_from: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut stitch_args: Vec<String> = Vec::new();
-    let rest = &args[1..];
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--checkpoint-every" => {
-                checkpoint_every = parse_value(rest, i + 1, "checkpoint interval")?;
-                i += 1;
-            }
-            "--checkpoint" => {
-                checkpoint_path = Some(need(rest, i + 1, "checkpoint path")?.to_owned());
-                i += 1;
-            }
-            "--resume" => {
-                resume_path = Some(need(rest, i + 1, "resume path")?.to_owned());
-                i += 1;
-            }
-            "--stats-json" => {
-                stats_json_path = Some(need(rest, i + 1, "stats json path")?.to_owned());
-                i += 1;
-            }
-            "--delta-from" => {
-                delta_from = Some(need(rest, i + 1, "ancestor artifact key")?.to_owned());
-                i += 1;
-            }
-            "--cache-dir" => {
-                cache_dir = Some(need(rest, i + 1, "cache directory")?.to_owned());
-                i += 1;
-            }
-            other => stitch_args.push(other.to_owned()),
-        }
-        i += 1;
-    }
-    let opts = stitch_config(&stitch_args)?;
-
-    let resume = match &resume_path {
+    let resume = match cli.text("--resume") {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| TvsError::io(path, e))?;
             Some(Snapshot::parse(&text)?)
         }
         None => None,
     };
-    let checkpoint_path = checkpoint_path.unwrap_or_else(|| format!("{circuit_path}.tvsnap"));
+    let checkpoint_path = cli
+        .text("--checkpoint")
+        .map_or_else(|| format!("{circuit_path}.tvsnap"), str::to_owned);
 
     // Delta reuse is strictly best-effort: a missing store, absent or
     // corrupt manifest, or interface/config mismatch prints a notice and
     // the run proceeds cold. The result is byte-identical either way; only
     // the work done differs.
     let store = if delta_from.is_some() || cache_dir.is_some() {
-        let dir = cache_dir.clone().unwrap_or_else(|| "tvs-cache".to_owned());
-        match tvs::core::ArtifactStore::open(&dir) {
+        let dir = cache_dir.unwrap_or("tvs-cache");
+        match tvs::core::ArtifactStore::open(dir) {
             Ok(store) => Some((store, dir)),
             Err(e) => {
                 println!("delta: cache {dir} unavailable ({e}); running cold");
@@ -440,14 +436,14 @@ fn run_cmd(args: &[String]) -> Result<(), TvsError> {
         None
     };
     let mut delta_applied: Option<(tvs::core::ArtifactKey, usize, usize)> = None;
-    let prescreen_plan = match (&store, &delta_from) {
+    let prescreen_plan = match (&store, delta_from) {
         (Some((store, dir)), Some(text)) => {
             let ancestor = tvs::core::ArtifactKey::parse(text).ok_or_else(|| {
                 TvsError::usage(format!(
                     "malformed artifact key {text:?} (expected 16 hex digits)"
                 ))
             })?;
-            match load_delta_plan(store, ancestor, &netlist, &opts.config) {
+            match load_delta_plan(store, ancestor, &netlist, &config) {
                 Ok(plan) => {
                     tvs::exec::counter("delta.plans").incr();
                     tvs::exec::counter("delta.cones_dirty").add(plan.cones_dirty as u64);
@@ -485,7 +481,7 @@ fn run_cmd(args: &[String]) -> Result<(), TvsError> {
     let mut on_prescreen = |t: tvs::stitch::PrescreenTrace| trace = Some(t);
     let want_trace = store.is_some();
     let report = engine.run_with(
-        &opts.config,
+        &config,
         RunOptions {
             resume,
             checkpoint_every,
@@ -520,8 +516,8 @@ fn run_cmd(args: &[String]) -> Result<(), TvsError> {
     // it. Resumed runs skip the prescreen (no trace) and store nothing.
     if let (Some((store, dir)), Some(trace)) = (&store, &trace) {
         let canonical = bench::to_string(&netlist);
-        let key = tvs::core::SubmissionIdentity::of(&netlist, &canonical, &opts.config).key;
-        match tvs::delta::ConeManifest::build(&netlist, opts.config.fingerprint(), &trace.records) {
+        let key = tvs::core::SubmissionIdentity::of(&netlist, &canonical, &config).key;
+        match tvs::delta::ConeManifest::build(&netlist, config.fingerprint(), &trace.records) {
             Ok(manifest) => match store.store_manifest(key, &manifest.to_text()) {
                 Ok(()) => println!("delta: manifest for key {key} stored in {dir}"),
                 Err(e) => println!("delta: manifest write failed ({e})"),
@@ -530,7 +526,19 @@ fn run_cmd(args: &[String]) -> Result<(), TvsError> {
         }
     }
 
-    print_report(netlist.name(), &report);
+    println!("{}: {}", netlist.name(), report.metrics);
+    let tail = report
+        .shifts
+        .get(1..report.shifts.len().min(9))
+        .unwrap_or(&[]);
+    println!(
+        "shift schedule: initial {} then {:?}… closing flush {}",
+        report.shifts.first().copied().unwrap_or(0),
+        tail,
+        report.final_flush
+    );
+    let (entered, converted, erased) = report.hidden_transitions;
+    println!("hidden faults: {entered} entered, {converted} caught, {erased} erased");
     match &report.termination {
         Termination::Complete => println!("termination: complete"),
         Termination::BudgetExhausted { residual } => println!(
@@ -545,11 +553,22 @@ fn run_cmd(args: &[String]) -> Result<(), TvsError> {
     if written > 0 {
         println!("checkpoints: {written} written to {checkpoint_path}");
     }
-    if opts.stats {
+    if let Some(out) = cli.text("--program") {
+        let program = TestProgram::from_report(&netlist, &report, &config);
+        fs::write(out, program.to_text()).map_err(|e| TvsError::io(out, e))?;
+        println!(
+            "wrote {} ({} cycles, {} shift clocks; {})",
+            out,
+            program.cycles.len(),
+            program.shift_cycles(),
+            report.metrics
+        );
+    }
+    if cli.has("--stats") {
         print!("{}", tvs::exec::report());
     }
-    if let Some(path) = stats_json_path {
-        fs::write(&path, tvs::exec::report().to_json()).map_err(|e| TvsError::io(&path, e))?;
+    if let Some(path) = cli.text("--stats-json") {
+        fs::write(path, tvs::exec::report().to_json()).map_err(|e| TvsError::io(path, e))?;
         println!("stats written to {path}");
     }
     Ok(())
@@ -577,41 +596,37 @@ fn load_delta_plan(
 }
 
 fn serve(args: &[String]) -> Result<(), TvsError> {
+    const FLAGS: Flags = &[
+        ("--listen", Some("listen address")),
+        ("--cache-dir", Some("cache directory")),
+        ("--workers", Some("worker count")),
+        ("--queue", Some("queue capacity")),
+        ("--checkpoint-every", Some("checkpoint interval")),
+        ("--cache-cap-bytes", Some("cache cap")),
+        ("--client-quota", Some("client quota")),
+    ];
+    let cli = Cli::parse(args, FLAGS, 0)?;
     let mut config = tvs::serve::ServerConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => {
-                config.listen = need(args, i + 1, "listen address")?.to_owned();
-                i += 1;
-            }
-            "--cache-dir" => {
-                config.cache_dir = need(args, i + 1, "cache directory")?.into();
-                i += 1;
-            }
-            "--workers" => {
-                config.workers = parse_value::<usize>(args, i + 1, "worker count")?.max(1);
-                i += 1;
-            }
-            "--queue" => {
-                config.queue_capacity = parse_value::<usize>(args, i + 1, "queue capacity")?.max(1);
-                i += 1;
-            }
-            "--checkpoint-every" => {
-                config.checkpoint_every = parse_value(args, i + 1, "checkpoint interval")?;
-                i += 1;
-            }
-            "--cache-cap-bytes" => {
-                config.cache_cap_bytes = parse_value(args, i + 1, "cache cap")?;
-                i += 1;
-            }
-            "--client-quota" => {
-                config.client_quota = parse_value(args, i + 1, "client quota")?;
-                i += 1;
-            }
-            other => return Err(TvsError::usage(format!("unknown serve option {other:?}"))),
-        }
-        i += 1;
+    if let Some(listen) = cli.text("--listen") {
+        config.listen = listen.to_owned();
+    }
+    if let Some(dir) = cli.text("--cache-dir") {
+        config.cache_dir = dir.into();
+    }
+    if let Some(workers) = cli.value::<usize>("--workers")? {
+        config.workers = workers.max(1);
+    }
+    if let Some(capacity) = cli.value::<usize>("--queue")? {
+        config.queue_capacity = capacity.max(1);
+    }
+    if let Some(every) = cli.value("--checkpoint-every")? {
+        config.checkpoint_every = every;
+    }
+    if let Some(cap) = cli.value("--cache-cap-bytes")? {
+        config.cache_cap_bytes = cap;
+    }
+    if let Some(quota) = cli.value("--client-quota")? {
+        config.client_quota = quota;
     }
     let server = tvs::serve::Server::bind(&config)?;
     let addr = server.local_addr()?;
@@ -639,48 +654,44 @@ fn serve(args: &[String]) -> Result<(), TvsError> {
 }
 
 fn fleet(args: &[String]) -> Result<(), TvsError> {
+    use std::time::Duration;
+
+    const FLAGS: Flags = &[
+        ("--listen", Some("listen address")),
+        ("--workers", Some("worker address list")),
+        ("--vnodes", Some("vnode count")),
+        ("--health-interval-ms", Some("health interval")),
+        ("--probe-timeout-ms", Some("probe timeout")),
+        ("--fail-threshold", Some("fail threshold")),
+        ("--cache-cap-bytes", Some("cache cap")),
+    ];
+    let cli = Cli::parse(args, FLAGS, 0)?;
     let mut config = tvs::fleet::CoordinatorConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => {
-                config.listen = need(args, i + 1, "listen address")?.to_owned();
-                i += 1;
-            }
-            "--workers" => {
-                config.workers = need(args, i + 1, "worker address list")?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                i += 1;
-            }
-            "--vnodes" => {
-                config.vnodes = parse_value::<usize>(args, i + 1, "vnode count")?.max(1);
-                i += 1;
-            }
-            "--health-interval-ms" => {
-                let ms = parse_value::<u64>(args, i + 1, "health interval")?;
-                config.health_interval = std::time::Duration::from_millis(ms.max(1));
-                i += 1;
-            }
-            "--probe-timeout-ms" => {
-                let ms = parse_value::<u64>(args, i + 1, "probe timeout")?;
-                config.probe_timeout = std::time::Duration::from_millis(ms.max(1));
-                i += 1;
-            }
-            "--fail-threshold" => {
-                config.fail_threshold = parse_value::<u32>(args, i + 1, "fail threshold")?.max(1);
-                i += 1;
-            }
-            "--cache-cap-bytes" => {
-                config.cache_cap_bytes = parse_value(args, i + 1, "cache cap")?;
-                i += 1;
-            }
-            other => return Err(TvsError::usage(format!("unknown fleet option {other:?}"))),
-        }
-        i += 1;
+    if let Some(listen) = cli.text("--listen") {
+        config.listen = listen.to_owned();
+    }
+    if let Some(workers) = cli.text("--workers") {
+        config.workers = workers
+            .split(',')
+            .map(str::trim)
+            .filter(|a| !a.is_empty())
+            .map(str::to_owned)
+            .collect();
+    }
+    if let Some(vnodes) = cli.value::<usize>("--vnodes")? {
+        config.vnodes = vnodes.max(1);
+    }
+    if let Some(ms) = cli.value::<u64>("--health-interval-ms")? {
+        config.health_interval = Duration::from_millis(ms.max(1));
+    }
+    if let Some(ms) = cli.value::<u64>("--probe-timeout-ms")? {
+        config.probe_timeout = Duration::from_millis(ms.max(1));
+    }
+    if let Some(threshold) = cli.value::<u32>("--fail-threshold")? {
+        config.fail_threshold = threshold.max(1);
+    }
+    if let Some(cap) = cli.value("--cache-cap-bytes")? {
+        config.cache_cap_bytes = cap;
     }
     if config.workers.is_empty() {
         return Err(TvsError::usage(
@@ -711,45 +722,23 @@ fn fleet(args: &[String]) -> Result<(), TvsError> {
 }
 
 fn fuzz(args: &[String]) -> Result<(), TvsError> {
-    let mut target: Option<String> = None;
-    let mut rounds: u64 = 256;
-    let mut base_seed: u64 = 0x5717C4;
-    let mut seed_file: Option<String> = None;
-    let mut seed_hex: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--target" => {
-                target = Some(need(args, i + 1, "target name")?.to_owned());
-                i += 1;
-            }
-            "--rounds" => {
-                rounds = parse_value(args, i + 1, "round count")?;
-                i += 1;
-            }
-            "--base-seed" => {
-                base_seed = parse_value(args, i + 1, "base seed")?;
-                i += 1;
-            }
-            "--seed-file" => {
-                seed_file = Some(need(args, i + 1, "seed file path")?.to_owned());
-                i += 1;
-            }
-            "--seed-hex" => {
-                seed_hex = Some(need(args, i + 1, "seed hex")?.to_owned());
-                i += 1;
-            }
-            other => return Err(TvsError::usage(format!("unknown fuzz option {other:?}"))),
-        }
-        i += 1;
-    }
-    let target = target.ok_or_else(|| {
+    const FLAGS: Flags = &[
+        ("--target", Some("target name")),
+        ("--rounds", Some("round count")),
+        ("--base-seed", Some("base seed")),
+        ("--seed-file", Some("seed file path")),
+        ("--seed-hex", Some("seed hex")),
+    ];
+    let cli = Cli::parse(args, FLAGS, 0)?;
+    let rounds = cli.value("--rounds")?.unwrap_or(256);
+    let base_seed = cli.value("--base-seed")?.unwrap_or(0x5717C4);
+    let target = cli.text("--target").ok_or_else(|| {
         TvsError::usage("fuzz requires --target (bench, frame, snapshot, e2e, delta or all)")
     })?;
     let targets: Vec<&str> = if target == "all" {
         tvs::fuzz::TARGETS.to_vec()
     } else {
-        match tvs::fuzz::TARGETS.iter().find(|t| **t == target) {
+        match tvs::fuzz::TARGETS.iter().find(|&&t| t == target) {
             Some(t) => vec![t],
             None => {
                 return Err(TvsError::usage(format!(
@@ -758,7 +747,7 @@ fn fuzz(args: &[String]) -> Result<(), TvsError> {
             }
         }
     };
-    let replay_seed = match (&seed_file, &seed_hex) {
+    let replay_seed = match (cli.text("--seed-file"), cli.text("--seed-hex")) {
         (Some(_), Some(_)) => {
             return Err(TvsError::usage("--seed-file and --seed-hex are exclusive"))
         }
@@ -828,37 +817,20 @@ fn fuzz_drive(
     Ok(())
 }
 
-fn program(args: &[String]) -> Result<(), TvsError> {
-    let netlist = load(need(args, 0, "circuit path")?)?;
-    let out = need(args, 1, "output path")?;
-    let opts = stitch_config(&args[2..])?;
-    let engine = StitchEngine::new(&netlist)?;
-    let report = engine.run(&opts.config)?;
-    let program = TestProgram::from_report(&netlist, &report, &opts.config);
-    fs::write(out, program.to_text()).map_err(|e| TvsError::io(out, e))?;
-    println!(
-        "wrote {} ({} cycles, {} shift clocks; {})",
-        out,
-        program.cycles.len(),
-        program.shift_cycles(),
-        report.metrics
-    );
-    if opts.stats {
-        print!("{}", tvs::exec::report());
-    }
-    Ok(())
-}
-
 fn verify(args: &[String]) -> Result<(), TvsError> {
-    let netlist = load(need(args, 0, "circuit path")?)?;
-    let path = need(args, 1, "program path")?;
+    let cli = Cli::parse(args, &[], 2)?;
+    let netlist = load(cli.operand(0, "circuit path")?)?;
+    let path = cli.operand(1, "program path")?;
     let text = fs::read_to_string(path).map_err(|e| TvsError::io(path, e))?;
     let program = TestProgram::parse(&text)?;
     let view = netlist.scan_view()?;
     let mut dut = Dut::new(&netlist, &view, program.capture, program.observe);
     let outcome = VirtualAte::execute(&program, &mut dut);
     println!("{outcome:?}");
-    Ok(())
+    match outcome {
+        TestOutcome::Pass => Ok(()),
+        TestOutcome::Fail { cycle, kind, bit } => Err(TvsError::Verify { cycle, kind, bit }),
+    }
 }
 
 fn lint(args: &[String]) -> Result<(), TvsError> {
@@ -867,53 +839,34 @@ fn lint(args: &[String]) -> Result<(), TvsError> {
         testability_json, Diagnostic, IrGraph, Testability, TestabilityConfig,
     };
 
-    let mut profiles = false;
-    let mut workspace = false;
-    let mut testability = false;
-    let mut root = String::from(".");
-    let mut json = false;
-    let mut tb_config = TestabilityConfig::default();
-    let mut scores_path: Option<String> = None;
-    let mut program_path: Option<String> = None;
-    let mut files: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--profiles" => profiles = true,
-            "--workspace" => workspace = true,
-            "--testability" => testability = true,
-            "--deny-unobservable" => {
-                testability = true;
-                tb_config.deny_unobservable = true;
-            }
-            "--scores" => {
-                testability = true;
-                scores_path = Some(need(args, i + 1, "scores path")?.to_owned());
-                i += 1;
-            }
-            "--program" => {
-                program_path = Some(need(args, i + 1, "program path")?.to_owned());
-                i += 1;
-            }
-            "--root" => {
-                root = need(args, i + 1, "workspace root")?.to_owned();
-                i += 1;
-            }
-            "--format" => {
-                json = match need(args, i + 1, "format")? {
-                    "text" => false,
-                    "json" => true,
-                    other => return Err(TvsError::usage(format!("unknown format {other:?}"))),
-                };
-                i += 1;
-            }
-            other if other.starts_with("--") => {
-                return Err(TvsError::usage(format!("unknown option {other:?}")))
-            }
-            file => files.push(file.to_owned()),
-        }
-        i += 1;
-    }
+    const FLAGS: Flags = &[
+        ("--profiles", None),
+        ("--workspace", None),
+        ("--testability", None),
+        ("--deny-unobservable", None),
+        ("--scores", Some("scores path")),
+        ("--program", Some("program path")),
+        ("--root", Some("workspace root")),
+        ("--format", Some("format")),
+    ];
+    let cli = Cli::parse(args, FLAGS, usize::MAX)?;
+    let files = &cli.operands;
+    let mut profiles = cli.has("--profiles");
+    let mut workspace = cli.has("--workspace");
+    let scores_path = cli.text("--scores");
+    let program_path = cli.text("--program");
+    let root = cli.text("--root").unwrap_or(".");
+    let tb_config = TestabilityConfig {
+        deny_unobservable: cli.has("--deny-unobservable"),
+        ..TestabilityConfig::default()
+    };
+    let testability =
+        cli.has("--testability") || tb_config.deny_unobservable || scores_path.is_some();
+    let json = match cli.text("--format") {
+        None | Some("text") => false,
+        Some("json") => true,
+        Some(other) => return Err(TvsError::usage(format!("unknown format {other:?}"))),
+    };
     // Bare `tvs lint` checks everything checkable without arguments.
     if !profiles && !workspace && files.is_empty() && program_path.is_none() {
         profiles = true;
@@ -922,7 +875,7 @@ fn lint(args: &[String]) -> Result<(), TvsError> {
 
     // `--program <prog.tvp>` interprets a tester program against one
     // circuit (a `.bench` path or a built-in profile name).
-    if let Some(path) = &program_path {
+    if let Some(path) = program_path {
         let circuit = files
             .first()
             .ok_or_else(|| TvsError::usage("--program needs a circuit (.bench or profile)"))?;
@@ -950,7 +903,7 @@ fn lint(args: &[String]) -> Result<(), TvsError> {
 
     // Each netlist under analysis, with its graph for the testability pass.
     let mut targets: Vec<Netlist> = Vec::new();
-    for file in &files {
+    for file in files {
         targets.push(load(file)?);
     }
     if profiles {
@@ -975,11 +928,11 @@ fn lint(args: &[String]) -> Result<(), TvsError> {
     }
     if workspace {
         diags.extend(
-            tvs::lint::lint_workspace(std::path::Path::new(&root))
-                .map_err(|e| TvsError::io(&*root, e))?,
+            tvs::lint::lint_workspace(std::path::Path::new(root))
+                .map_err(|e| TvsError::io(root, e))?,
         );
     }
-    if let Some(path) = &scores_path {
+    if let Some(path) = scores_path {
         fs::write(path, &scores).map_err(|e| TvsError::io(path, e))?;
         println!("testability scores written to {path}");
     }
@@ -1017,8 +970,9 @@ fn lower_program(program: &TestProgram) -> tvs::lint::ProgramTrace {
 }
 
 fn gen(args: &[String]) -> Result<(), TvsError> {
-    let name = need(args, 0, "profile name")?;
-    let out = need(args, 1, "output path")?;
+    let cli = Cli::parse(args, &[], 2)?;
+    let name = cli.operand(0, "profile name")?;
+    let out = cli.operand(1, "output path")?;
     let profile = tvs::circuits::profile(name).ok_or_else(|| {
         TvsError::usage(format!(
             "unknown profile {name:?} (try s444, s1423, s5378, …)"
@@ -1044,43 +998,32 @@ fn bench_cmd(args: &[String]) -> Result<(), TvsError> {
 fn bench_strategies(args: &[String]) -> Result<(), TvsError> {
     use tvs::bench::strategies::{coverage_regressions, sweep, to_json, SweepOpts};
 
+    const FLAGS: Flags = &[
+        ("--out", Some("output path")),
+        ("--profiles", Some("profile list")),
+        ("--budget", Some("work budget")),
+        ("--scale", Some("scaling factor")),
+        ("--threads", Some("thread count")),
+        ("--gate", None),
+    ];
+    let cli = Cli::parse(args, FLAGS, 0)?;
     let mut opts = SweepOpts::default();
-    let mut out = "BENCH_strategies.json".to_owned();
-    let mut gate = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out = need(args, i + 1, "output path")?.to_owned();
-                i += 1;
-            }
-            "--profiles" => {
-                opts.profiles = need(args, i + 1, "profile list")?
-                    .split(',')
-                    .map(str::to_owned)
-                    .collect();
-                i += 1;
-            }
-            "--budget" => {
-                opts.budget = parse_value(args, i + 1, "work budget")?;
-                i += 1;
-            }
-            "--scale" => {
-                opts.scale = parse_value(args, i + 1, "scaling factor")?;
-                i += 1;
-            }
-            "--threads" => {
-                opts.threads = parse_value::<usize>(args, i + 1, "thread count")?.max(1);
-                i += 1;
-            }
-            "--gate" => gate = true,
-            other => return Err(TvsError::usage(format!("unknown option {other:?}"))),
-        }
-        i += 1;
+    let out = cli.text("--out").unwrap_or("BENCH_strategies.json");
+    if let Some(profiles) = cli.text("--profiles") {
+        opts.profiles = list(profiles);
+    }
+    if let Some(budget) = cli.value("--budget")? {
+        opts.budget = budget;
+    }
+    if let Some(scale) = cli.value("--scale")? {
+        opts.scale = scale;
+    }
+    if let Some(threads) = cli.value::<usize>("--threads")? {
+        opts.threads = threads.max(1);
     }
     let result = sweep(&opts).map_err(TvsError::usage)?;
     let json = to_json(&result);
-    fs::write(&out, &json).map_err(|e| TvsError::io(&*out, e))?;
+    fs::write(out, &json).map_err(|e| TvsError::io(out, e))?;
     println!(
         "wrote {out}: {} profiles x {} strategies",
         result.profiles.len(),
@@ -1095,7 +1038,7 @@ fn bench_strategies(args: &[String]) -> Result<(), TvsError> {
             .collect();
         println!("  {:8} pareto: {}", profile.name, front.join(", "));
     }
-    if gate {
+    if cli.has("--gate") {
         let regressions = coverage_regressions(&result);
         if !regressions.is_empty() {
             let mut lines = Vec::new();
@@ -1116,50 +1059,33 @@ fn bench_strategies(args: &[String]) -> Result<(), TvsError> {
 fn bench_delta(args: &[String]) -> Result<(), TvsError> {
     use tvs::bench::delta::{reuse_failures, sweep, to_json, DeltaOpts};
 
+    const FLAGS: Flags = &[
+        ("--out", Some("output path")),
+        ("--profiles", Some("profile list")),
+        ("--edits", Some("edit size list")),
+        ("--scale", Some("scaling factor")),
+        ("--floor", Some("reuse floor")),
+        ("--gate", None),
+    ];
+    let cli = Cli::parse(args, FLAGS, 0)?;
     let mut opts = DeltaOpts::default();
-    let mut out = "BENCH_delta.json".to_owned();
-    let mut gate = false;
-    let mut floor = 0.5f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out = need(args, i + 1, "output path")?.to_owned();
-                i += 1;
-            }
-            "--profiles" => {
-                opts.profiles = need(args, i + 1, "profile list")?
-                    .split(',')
-                    .map(str::to_owned)
-                    .collect();
-                i += 1;
-            }
-            "--edits" => {
-                opts.edits = need(args, i + 1, "edit size list")?
-                    .split(',')
-                    .map(|t| {
-                        t.parse::<usize>()
-                            .map_err(|_| TvsError::usage(format!("malformed edit size {t:?}")))
-                    })
-                    .collect::<Result<Vec<usize>, TvsError>>()?;
-                i += 1;
-            }
-            "--scale" => {
-                opts.scale = parse_value(args, i + 1, "scaling factor")?;
-                i += 1;
-            }
-            "--floor" => {
-                floor = parse_value(args, i + 1, "reuse floor")?;
-                i += 1;
-            }
-            "--gate" => gate = true,
-            other => return Err(TvsError::usage(format!("unknown option {other:?}"))),
-        }
-        i += 1;
+    let out = cli.text("--out").unwrap_or("BENCH_delta.json");
+    let floor = cli.value("--floor")?.unwrap_or(0.5f64);
+    if let Some(profiles) = cli.text("--profiles") {
+        opts.profiles = list(profiles);
+    }
+    if let Some(edits) = cli.text("--edits") {
+        opts.edits = edits
+            .split(',')
+            .map(|t| parse_value(t, "edit size"))
+            .collect::<Result<Vec<usize>, TvsError>>()?;
+    }
+    if let Some(scale) = cli.value("--scale")? {
+        opts.scale = scale;
     }
     let result = sweep(&opts).map_err(TvsError::usage)?;
     let json = to_json(&result);
-    fs::write(&out, &json).map_err(|e| TvsError::io(&*out, e))?;
+    fs::write(out, &json).map_err(|e| TvsError::io(out, e))?;
     println!(
         "wrote {out}: {} profiles x {} edit sizes",
         result.profiles.len(),
@@ -1179,7 +1105,7 @@ fn bench_delta(args: &[String]) -> Result<(), TvsError> {
             ratios.join(" ")
         );
     }
-    if gate {
+    if cli.has("--gate") {
         let failures = reuse_failures(&result, floor);
         if !failures.is_empty() {
             let lines: Vec<String> = failures

@@ -17,6 +17,7 @@
 //! | 9 | [`Fleet`](TvsError::Fleet) | the fleet coordinator failed (no live workers, abandoned job) |
 //! | 10 | [`Fuzz`](TvsError::Fuzz) | a fuzz target broke its contract (panic, violation, nondeterminism) |
 //! | 11 | [`Bench`](TvsError::Bench) | a benchmark gate tripped (coverage regression vs. baseline) |
+//! | 12 | [`Verify`](TvsError::Verify) | the virtual ATE failed a tester program against its fault-free circuit |
 //!
 //! Exit code 1 stays reserved for panics (which the library layers avoid by
 //! construction — see the SRC005 lint) so an abort is distinguishable from
@@ -25,7 +26,7 @@
 use std::error::Error;
 use std::fmt;
 
-use tvs_ate::ParseProgramError;
+use tvs_ate::{FailKind, ParseProgramError};
 use tvs_atpg::AtpgOutcome;
 use tvs_fault::FaultError;
 use tvs_fleet::FleetError;
@@ -72,6 +73,16 @@ pub enum TvsError {
     /// A benchmark gate tripped (e.g. a strategy regressed coverage below
     /// the `MostFaults` baseline in `tvs bench strategies --gate`).
     Bench(String),
+    /// The virtual ATE failed a tester program against the fault-free
+    /// circuit (`tvs verify`): the first mismatching bit.
+    Verify {
+        /// 0-based cycle index (`cycles.len()` denotes the closing flush).
+        cycle: usize,
+        /// Which comparison caught the mismatch.
+        kind: FailKind,
+        /// Bit position within the mismatching field.
+        bit: usize,
+    },
 }
 
 impl TvsError {
@@ -89,6 +100,7 @@ impl TvsError {
             TvsError::Fleet(_) => 9,
             TvsError::Fuzz(_) => 10,
             TvsError::Bench(_) => 11,
+            TvsError::Verify { .. } => 12,
         }
     }
 
@@ -122,6 +134,10 @@ impl fmt::Display for TvsError {
             TvsError::Fleet(e) => write!(f, "fleet: {e}"),
             TvsError::Fuzz(e) => write!(f, "fuzz: {e}"),
             TvsError::Bench(m) => write!(f, "bench: {m}"),
+            TvsError::Verify { cycle, kind, bit } => write!(
+                f,
+                "verify: program failed on the virtual ATE at cycle {cycle} ({kind} bit {bit})"
+            ),
         }
     }
 }
@@ -139,7 +155,10 @@ impl Error for TvsError {
             TvsError::Serve(e) => Some(e),
             TvsError::Fleet(e) => Some(e),
             TvsError::Fuzz(e) => Some(e),
-            TvsError::Usage(_) | TvsError::Lint(_) | TvsError::Bench(_) => None,
+            TvsError::Usage(_)
+            | TvsError::Lint(_)
+            | TvsError::Bench(_)
+            | TvsError::Verify { .. } => None,
         }
     }
 }
@@ -234,6 +253,16 @@ mod tests {
         assert_eq!(
             TvsError::from(FuzzFailure::Panicked("boom".into())).exit_code(),
             10
+        );
+        assert_eq!(TvsError::Bench("gate".into()).exit_code(), 11);
+        assert_eq!(
+            TvsError::Verify {
+                cycle: 3,
+                kind: FailKind::Flush,
+                bit: 0
+            }
+            .exit_code(),
+            12
         );
     }
 

@@ -66,7 +66,7 @@ fn resume_run(
     )
 }
 
-/// The stdout block `tvs stitch`/`tvs run` print, rendered from a report —
+/// The stdout block `tvs run` prints, rendered from a report —
 /// resume-equivalence is asserted down to this byte-level surface.
 fn render(name: &str, report: &StitchReport) -> String {
     let mut out = String::new();
