@@ -48,6 +48,9 @@ pub struct ScanView {
     /// For each gate: the PPO a scan cell captures into (`u32::MAX` for
     /// every other gate).
     capture: Vec<u32>,
+    /// For each gate: its combinational-input index if it is a PI or PPI
+    /// (`u32::MAX` for every other gate).
+    input_of: Vec<u32>,
 }
 
 impl ScanView {
@@ -184,6 +187,10 @@ impl ScanView {
         for (k, ff) in netlist.dffs.iter().enumerate() {
             capture[ff.index()] = (netlist.outputs.len() + k) as u32;
         }
+        let mut input_of = vec![u32::MAX; n];
+        for (i, src) in netlist.inputs.iter().chain(&netlist.dffs).enumerate() {
+            input_of[src.index()] = i as u32;
+        }
 
         Ok(ScanView {
             pis: netlist.inputs.clone(),
@@ -199,6 +206,7 @@ impl ScanView {
             drives_index,
             drives_data,
             capture,
+            input_of,
         })
     }
 
@@ -360,13 +368,13 @@ impl ScanView {
     }
 
     /// The combinational-input index of a gate if it is a PI or PPI.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from the same netlist.
     pub fn input_index_of(&self, id: GateId) -> Option<usize> {
-        self.pis.iter().position(|&g| g == id).or_else(|| {
-            self.ppis
-                .iter()
-                .position(|&g| g == id)
-                .map(|p| p + self.pis.len())
-        })
+        let i = self.input_of[id.index()];
+        (i != u32::MAX).then_some(i as usize)
     }
 }
 
@@ -513,5 +521,9 @@ mod tests {
         assert_eq!(v.output_gate(0), n.find("o").unwrap());
         assert_eq!(v.output_gate(1), n.find("d").unwrap());
         assert_eq!(v.input_index_of(n.find("q").unwrap()), Some(2));
+        for i in 0..v.input_count() {
+            assert_eq!(v.input_index_of(v.input_gate(i)), Some(i));
+        }
+        assert_eq!(v.input_index_of(n.find("o").unwrap()), None);
     }
 }
