@@ -8,6 +8,10 @@ cd "$(dirname "$0")"
 
 cargo build --release --workspace --offline
 cargo test -q --workspace --offline
+# Byte-identity pins at full size: the debug run above checks each pin's
+# debug subset; this release run adds every circuit the pins know.
+TVS_PIN_FULL=1 cargo test -q --release --offline --test baseline_pin --test strategy_pin
+TVS_PIN_FULL=1 cargo test -q --release --offline -p tvs-atpg --test podem_pin
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Microbench smoke: the incremental simulation kernel must evaluate fewer
