@@ -10,18 +10,22 @@ cargo build --release --workspace --offline
 cargo test -q --workspace --offline
 # Byte-identity pins at full size: the debug run above checks each pin's
 # debug subset; this release run adds every circuit the pins know.
-TVS_PIN_FULL=1 cargo test -q --release --offline --test baseline_pin --test strategy_pin
+TVS_PIN_FULL=1 cargo test -q --release --offline --test baseline_pin --test strategy_pin \
+  --test table_pin
 TVS_PIN_FULL=1 cargo test -q --release --offline -p tvs-atpg --test podem_pin
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Microbench smoke: the incremental simulation kernel must evaluate fewer
 # gates than full sweeps on the largest profile (s38417), with bit-identical
-# outputs. Writes BENCH_sim.json; exits nonzero on any regression.
-cargo run -q -p tvs-bench --release --offline --bin simbench
+# outputs. Writes BENCH_sim.json; exits 11 on any regression.
+cargo run -q --release --offline --bin tvs -- bench sim
 
-# Static analysis (tvs-lint): fails on any deny-level diagnostic.
+# The paper's Table 1 must print exactly the committed results/table1.txt.
+cargo run -q --release --offline --bin tvs -- bench table 1 | cmp - results/table1.txt
+
+# Static analysis (tvs lint): fails on any deny-level diagnostic.
 # Engine 2 (source determinism lint) over the workspace tree:
-cargo run -q -p tvs-lint --release --offline --bin tvs-lint -- --workspace --format json
+cargo run -q --release --offline --bin tvs -- lint --workspace --format json
 # Engine 1 (IR design rules) + the SCOAP testability dataflow (TB001-TB003)
 # over every built-in circuit profile:
 cargo run -q --release --offline --bin tvs -- lint --testability --profiles > /dev/null

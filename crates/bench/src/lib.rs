@@ -1,9 +1,10 @@
-//! Reproduction harness support for the TVS toolkit.
+//! Reproduction harness of the TVS toolkit, behind `tvs bench`.
 //!
-//! The table binaries (`table1` … `table5`) and the std-only bench targets
-//! share the helpers in this crate: profile setup, table formatting, the
-//! [`microbench`] timing harness and the standard experiment runner
-//! configurations matching each table of the DATE 2003 paper.
+//! [`tables`] renders the DATE 2003 paper's Tables 1–5 (`tvs bench table
+//! <n>`), [`sim`] is the simulation-kernel bench (`tvs bench sim`), and
+//! [`strategies`] and [`delta`] are the strategy and delta-reuse sweeps.
+//! [`runner`] holds the shared profile scaling and experiment runner, and
+//! [`microbench`] the std-only timing harness of the `cargo bench` targets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,5 +12,6 @@
 pub mod delta;
 pub mod microbench;
 pub mod runner;
+pub mod sim;
 pub mod strategies;
 pub mod tables;

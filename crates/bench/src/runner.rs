@@ -1,18 +1,19 @@
-//! Shared experiment plumbing for the table binaries and benches.
+//! Shared experiment plumbing for the paper tables and benches.
 
 use tvs_circuits::Profile;
 use tvs_exec::ThreadPool;
 use tvs_netlist::Netlist;
 use tvs_stitch::{StitchConfig, StitchEngine, StitchReport};
 
-/// Default gate-count cap applied when building profiles for the table
-/// binaries. The stand-in generator preserves the interface (PI/PO/scan
+/// Default gate-count cap applied when building profiles for the paper
+/// tables. The stand-in generator preserves the interface (PI/PO/scan
 /// length — everything the compression mechanics see) at any scale; capping
 /// the logic volume keeps a full table run in CI-friendly time. Override
-/// with `--scale <f>` (a multiplier on top of this cap) or `--full`.
+/// with `tvs bench table <n> --scale <f>` (a multiplier on top of this cap)
+/// or `--full`.
 pub const DEFAULT_GATE_CAP: usize = 1200;
 
-/// How a binary was asked to scale its circuits.
+/// How an experiment was asked to scale its circuits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scaling {
     /// Multiplier applied to the per-profile default scale.
@@ -31,27 +32,6 @@ impl Default for Scaling {
 }
 
 impl Scaling {
-    /// Parses `--scale <f>` and `--full` from command-line arguments.
-    pub fn from_args() -> Scaling {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scaling = Scaling::default();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => scaling.full = true,
-                "--scale" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        scaling.factor = v;
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        scaling
-    }
-
     /// The effective build scale for a profile.
     pub fn effective(&self, profile: &Profile) -> f64 {
         if self.full {
@@ -65,23 +45,6 @@ impl Scaling {
     pub fn build(&self, profile: &Profile) -> Netlist {
         profile.build_scaled(self.effective(profile))
     }
-}
-
-/// Parses `--threads <n>` from the command line. Falls back to the
-/// `TVS_THREADS` environment variable and then the machine's available
-/// parallelism (see [`tvs_exec::default_threads`]).
-pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            if let Some(n) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        }
-        i += 1;
-    }
-    tvs_exec::default_threads()
 }
 
 /// Fans `f` out over the profiles — one worker per circuit profile — and

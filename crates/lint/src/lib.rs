@@ -31,8 +31,8 @@
 //!   serve, fleet) to gate submissions before any engine run.
 //!
 //! Run all three from the CLI via `tvs lint` (`--testability`, `--scores`,
-//! `--program`) or the standalone `tvs-lint` binary; CI fails on any
-//! deny-level finding.
+//! `--program`, `--workspace --format json`); CI fails on any deny-level
+//! finding.
 //!
 //! # Examples
 //!

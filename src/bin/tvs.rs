@@ -16,6 +16,9 @@
 //!                                            serve daemons with health checks
 //! tvs fuzz    --target <t> [options]         deterministic structured fuzzing
 //!                                            of the toolkit's input surfaces
+//! tvs bench   table <1-5> [options]          the paper's Tables 1–5
+//! tvs bench   sim [--out <f>]                simulation-kernel bench with
+//!                                            counter-ratio gates
 //! tvs bench   strategies|delta [options]     byte-stable benchmark sweeps
 //! ```
 //!
@@ -97,6 +100,10 @@ tvs — test vector stitching toolkit (DATE 2003 reproduction)
                                            serve daemons
   tvs fuzz    --target <t> [options]       deterministic structured fuzzing of
                                            the toolkit's input surfaces
+  tvs bench table <1-5> [options]          reproduce Table 1-5 of the paper
+  tvs bench sim [--out <f>]                incremental and pattern-parallel
+                                           simulation kernels vs. their
+                                           reference modes, counter-gated
   tvs bench strategies [options]           strategies × profiles sweep with
                                            per-profile compression/coverage
                                            Pareto fronts
@@ -176,6 +183,19 @@ fuzz options:
   --base-seed <n>   base of the deterministic seed schedule (default: 5707716)
   --seed-hex <hex>  replay one seed given as hex bytes (overrides --rounds)
   --seed-file <f>   replay one corpus seed file (hex with # comments)
+
+bench table options:
+  --scale <f>       multiplier on the default 1200-gate cap per circuit
+                    (default: 1.0)
+  --full            build every circuit at its full published gate count
+  --threads <n>     worker threads, one circuit per worker (default:
+                    TVS_THREADS env, then all cores; the table is
+                    byte-identical at any thread count)
+
+bench sim options:
+  --out <f>         report path (default: BENCH_sim.json); exits 11 unless
+                    both modes match their references bit for bit and clear
+                    their sim.gates_evaluated ratio gates
 
 bench strategies options:
   --out <f>         report path (default: BENCH_strategies.json); the file is
@@ -349,13 +369,19 @@ fn atpg(args: &[String]) -> Result<(), TvsError> {
     Ok(())
 }
 
+/// The worker count `--threads` selects (at least 1), else the
+/// `TVS_THREADS` / all-cores default.
+fn threads(cli: &Cli<'_>) -> Result<usize, TvsError> {
+    Ok(match cli.value::<usize>("--threads")? {
+        Some(threads) => threads.max(1),
+        None => tvs::exec::default_threads(),
+    })
+}
+
 /// The engine configuration a `tvs run` command line selects.
 fn run_config(cli: &Cli<'_>) -> Result<StitchConfig, TvsError> {
     let mut config = StitchConfig {
-        threads: match cli.value::<usize>("--threads")? {
-            Some(threads) => threads.max(1),
-            None => tvs::exec::default_threads(),
-        },
+        threads: threads(cli)?,
         budget: cli.value("--budget")?,
         ..StitchConfig::default()
     };
@@ -986,13 +1012,46 @@ fn gen(args: &[String]) -> Result<(), TvsError> {
 
 fn bench_cmd(args: &[String]) -> Result<(), TvsError> {
     match args.first().map(String::as_str) {
+        Some("table") => bench_table(&args[1..]),
+        Some("sim") => bench_sim(&args[1..]),
         Some("strategies") => bench_strategies(&args[1..]),
         Some("delta") => bench_delta(&args[1..]),
         Some(other) => Err(TvsError::usage(format!(
-            "unknown bench experiment {other:?} (expected strategies or delta)"
+            "unknown bench experiment {other:?} (expected table, sim, strategies or delta)"
         ))),
         None => Err(TvsError::usage("missing bench experiment name")),
     }
+}
+
+fn bench_table(args: &[String]) -> Result<(), TvsError> {
+    const FLAGS: Flags = &[
+        ("--scale", Some("scaling factor")),
+        ("--full", None),
+        ("--threads", Some("thread count")),
+    ];
+    let cli = Cli::parse(args, FLAGS, 1)?;
+    let n: u8 = parse_value(cli.operand(0, "table number")?, "table number")?;
+    let scaling = tvs::bench::runner::Scaling {
+        factor: cli.value("--scale")?.unwrap_or(1.0),
+        full: cli.has("--full"),
+    };
+    let table = tvs::bench::tables::render(n, &scaling, threads(&cli)?)
+        .ok_or_else(|| TvsError::usage(format!("unknown table {n} (expected 1-5)")))?;
+    print!("{}", table?);
+    Ok(())
+}
+
+fn bench_sim(args: &[String]) -> Result<(), TvsError> {
+    let cli = Cli::parse(args, &[("--out", Some("output path"))], 0)?;
+    let out = cli.text("--out").unwrap_or("BENCH_sim.json");
+    let bench = tvs::bench::sim::run().map_err(TvsError::Bench)?;
+    fs::write(out, &bench.json).map_err(|e| TvsError::io(out, e))?;
+    print!("{}", bench.json);
+    if let Some(failure) = bench.gate_failure {
+        return Err(TvsError::Bench(failure));
+    }
+    eprintln!("bench sim: OK — both counter-ratio gates hold (wall times informational), results in {out}");
+    Ok(())
 }
 
 fn bench_strategies(args: &[String]) -> Result<(), TvsError> {

@@ -16,7 +16,7 @@
 //! | 8 | [`Serve`](TvsError::Serve) | the compression service or its client failed |
 //! | 9 | [`Fleet`](TvsError::Fleet) | the fleet coordinator failed (no live workers, abandoned job) |
 //! | 10 | [`Fuzz`](TvsError::Fuzz) | a fuzz target broke its contract (panic, violation, nondeterminism) |
-//! | 11 | [`Bench`](TvsError::Bench) | a benchmark gate tripped (coverage regression vs. baseline) |
+//! | 11 | [`Bench`](TvsError::Bench) | a benchmark gate tripped (coverage regression vs. baseline, a kernel-bench ratio gate or mode mismatch) |
 //! | 12 | [`Verify`](TvsError::Verify) | the virtual ATE failed a tester program against its fault-free circuit |
 //!
 //! Exit code 1 stays reserved for panics (which the library layers avoid by

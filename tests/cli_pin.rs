@@ -102,6 +102,13 @@ fn retired_commands_flags_and_stray_operands_exit_2() {
         vec!["run", &circuit, "--seed"],
         vec!["run", &circuit, "--seed", "x"],
         vec!["verify", &circuit, &out, "extra"],
+        vec!["bench", "table", "6"],
+        vec!["bench", "table", "2", "--scale", "abc"],
+        vec!["bench", "table", "2", "--threads", "x"],
+        vec!["bench", "table", "2", "--scael", "0.5"],
+        vec!["bench", "sim", "extra"],
+        // The retired `tableN` binaries took no table number.
+        vec!["bench", "table"],
     ] {
         let got = tvs(&args);
         assert_eq!(
