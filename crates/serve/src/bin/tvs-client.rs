@@ -14,7 +14,9 @@
 //! Stitch options mirror `tvs run`: `--seed N`, `--fixed K`, `--strategy S`,
 //! `--vxor`, `--hxor G`, `--budget N`, `--threads N`.
 //!
-//! Exit codes: 0 success, 2 usage, 8 any server/transport error. Server
+//! Exit codes: 0 success, 2 usage, 8 any server/transport error. The whole
+//! command line is validated before connecting, so a usage error exits 2
+//! whether or not a server is listening. Server
 //! errors print as `tvs-client: [<wire-code>] <message>` — the bracketed
 //! code (`busy`, `unknown-job`, `version`, …) is stable for scripting.
 
@@ -69,142 +71,188 @@ fn usage(message: impl Into<String>) -> Failure {
     Failure::Usage(message.into())
 }
 
+/// What a validated command line does once connected.
+type Action<'a> = Box<dyn FnOnce(&mut Client) -> Result<(), Failure> + 'a>;
+
 fn run(args: &[String]) -> Result<(), Failure> {
-    let mut addr: Option<&str> = None;
-    let mut rest: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--addr" {
-            addr = args.get(i + 1).map(String::as_str);
-            i += 2;
+    // The whole command line is validated before connecting, so a usage
+    // error exits 2 whether or not a server is listening.
+    let (addr, action) = parse(args)?;
+    action(&mut Client::connect(addr)?)
+}
+
+fn parse(args: &[String]) -> Result<(&str, Action<'_>), Failure> {
+    let mut addr = None;
+    let mut rest = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if arg == "--addr" {
+            addr = Some(args.next().ok_or_else(|| usage("--addr needs HOST:PORT"))?);
         } else {
-            rest.push(&args[i]);
-            i += 1;
+            rest.push(arg);
         }
     }
     let addr = addr.ok_or_else(|| usage("--addr HOST:PORT is required"))?;
-    let verb = rest.first().ok_or_else(|| usage("missing verb"))?;
-    let mut client = Client::connect(addr)?;
-    match verb.as_str() {
-        "submit" => submit(&mut client, &rest[1..]),
-        "lint" => lint(&mut client, &rest[1..]),
+    let (&verb, rest) = rest.split_first().ok_or_else(|| usage("missing verb"))?;
+    let action: Action<'_> = match verb {
+        "submit" => {
+            let opts = Opts::parse(rest, SUBMIT_FLAGS, "<circuit.bench>")?;
+            let mut config = Vec::new();
+            for &(flag, value) in &opts.flags {
+                let key = flag.trim_start_matches("--").to_owned();
+                match (flag, value) {
+                    ("--vxor", _) => config.push((key, Value::Bool(true))),
+                    ("--strategy", Some(v)) => config.push((key, Value::str(v))),
+                    ("--seed" | "--fixed" | "--hxor" | "--budget" | "--threads", Some(v)) => {
+                        config.push((key, num(v)?))
+                    }
+                    _ => {}
+                }
+            }
+            Box::new(move |client| {
+                let bench = read_bench(opts.operand)?;
+                let name = opts.value("--name").unwrap_or(default_name(opts.operand));
+                let (job, admission) = client.submit(name, &bench, Value::Obj(config))?;
+                println!("job {job} admission {admission}");
+                if opts.has("--wait") {
+                    print_status(&client.wait(&job)?);
+                }
+                if opts.has("--fetch") {
+                    emit_artifact(&client.fetch(&job)?, opts.value("--out"))?;
+                }
+                Ok(())
+            })
+        }
+        "lint" => {
+            let opts = Opts::parse(rest, &[("--name", true)], "<circuit.bench>")?;
+            Box::new(move |client| {
+                let bench = read_bench(opts.operand)?;
+                let name = opts.value("--name").unwrap_or(default_name(opts.operand));
+                let (admitted, doc) = client.lint(name, &bench)?;
+                println!("{}", doc.to_text());
+                println!("admitted {admitted}");
+                Ok(())
+            })
+        }
         "status" | "wait" => {
-            let job = rest.get(1).ok_or_else(|| usage("missing job id"))?;
-            let doc = if verb.as_str() == "wait" {
-                client.wait(job)?
-            } else {
-                client.status(job)?
-            };
-            print_status(&doc);
-            Ok(())
+            let job = Opts::parse(rest, &[], "job id")?.operand;
+            Box::new(move |client| {
+                let doc = if verb == "wait" {
+                    client.wait(job)?
+                } else {
+                    client.status(job)?
+                };
+                print_status(&doc);
+                Ok(())
+            })
         }
         "fetch" => {
-            let job = rest.get(1).ok_or_else(|| usage("missing job id"))?;
-            let out = flag_value(&rest[2..], "--out");
-            let artifact = client.fetch(job)?;
-            emit_artifact(&artifact, out)
+            let opts = Opts::parse(rest, &[("--out", true)], "job id")?;
+            Box::new(move |client| emit_artifact(&client.fetch(opts.operand)?, opts.value("--out")))
         }
-        "stats" => {
-            let doc = client.stats()?;
-            println!("{}", doc.to_text());
-            Ok(())
-        }
-        "shutdown" => {
-            client.shutdown()?;
-            println!("server draining");
-            Ok(())
-        }
-        other => Err(usage(format!("unknown verb {other:?}"))),
-    }
-}
-
-fn submit(client: &mut Client, args: &[&String]) -> Result<(), Failure> {
-    let mut wait = false;
-    let mut fetch = false;
-    let mut out: Option<&str> = None;
-    let mut name: Option<&str> = None;
-    let mut config: Vec<(String, Value)> = Vec::new();
-    let mut bench_path: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let mut take = |what: &str| -> Result<&str, Failure> {
-            i += 1;
-            args.get(i)
-                .map(|s| s.as_str())
-                .ok_or_else(|| usage(format!("{arg} needs {what}")))
-        };
-        match arg {
-            "--wait" => wait = true,
-            "--fetch" => fetch = true,
-            "--out" => out = Some(take("a path")?),
-            "--name" => name = Some(take("a name")?),
-            "--seed" => config.push(("seed".into(), num(take("a seed")?)?)),
-            "--fixed" => config.push(("fixed".into(), num(take("a shift size")?)?)),
-            "--strategy" => config.push(("strategy".into(), Value::str(take("a strategy")?))),
-            "--vxor" => config.push(("vxor".into(), Value::Bool(true))),
-            "--hxor" => config.push(("hxor".into(), num(take("a tap count")?)?)),
-            "--budget" => config.push(("budget".into(), num(take("a budget")?)?)),
-            "--threads" => config.push(("threads".into(), num(take("a thread count")?)?)),
-            other if other.starts_with("--") => {
-                return Err(usage(format!("unknown option {other:?}")))
+        "stats" | "shutdown" => {
+            if let Some(extra) = rest.first() {
+                return Err(usage(format!("unexpected argument {extra:?}")));
             }
-            path => bench_path = Some(path),
+            Box::new(move |client| {
+                if verb == "stats" {
+                    println!("{}", client.stats()?.to_text());
+                } else {
+                    client.shutdown()?;
+                    println!("server draining");
+                }
+                Ok(())
+            })
         }
-        i += 1;
-    }
-    let path = bench_path.ok_or_else(|| usage("missing <circuit.bench>"))?;
-    let bench = fs::read_to_string(path).map_err(|e| Failure::Serve(ServeError::io(path, e)))?;
-    let default_name = path
-        .rsplit('/')
-        .next()
-        .unwrap_or(path)
-        .trim_end_matches(".bench");
-    let (job, admission) =
-        client.submit(name.unwrap_or(default_name), &bench, Value::Obj(config))?;
-    println!("job {job} admission {admission}");
-    if wait {
-        let doc = client.wait(&job)?;
-        print_status(&doc);
-    }
-    if fetch {
-        let artifact = client.fetch(&job)?;
-        emit_artifact(&artifact, out)?;
-    }
-    Ok(())
+        other => return Err(usage(format!("unknown verb {other:?}"))),
+    };
+    Ok((addr, action))
 }
 
-fn lint(client: &mut Client, args: &[&String]) -> Result<(), Failure> {
-    let name = flag_value(args, "--name");
-    let path = args
-        .iter()
-        .map(|s| s.as_str())
-        .filter(|a| !a.starts_with("--"))
-        .find(|a| Some(*a) != name)
-        .ok_or_else(|| usage("missing <circuit.bench>"))?;
-    let bench = fs::read_to_string(path).map_err(|e| Failure::Serve(ServeError::io(path, e)))?;
-    let default_name = path
-        .rsplit('/')
+/// `submit`'s options: each name and whether it takes a value.
+const SUBMIT_FLAGS: &[(&str, bool)] = &[
+    ("--wait", false),
+    ("--fetch", false),
+    ("--out", true),
+    ("--name", true),
+    ("--seed", true),
+    ("--fixed", true),
+    ("--strategy", true),
+    ("--vxor", false),
+    ("--hxor", true),
+    ("--budget", true),
+    ("--threads", true),
+];
+
+/// A verb's options and its one operand.
+struct Opts<'a> {
+    flags: Vec<(&'static str, Option<&'a str>)>,
+    operand: &'a str,
+}
+
+impl<'a> Opts<'a> {
+    /// Parses `args` against `table` (each option's name and whether it
+    /// takes a value) and exactly one operand, named `what` when missing.
+    /// An unknown option, a value option at the end of the line or a
+    /// second operand is a usage error.
+    fn parse(
+        args: &[&'a str],
+        table: &[(&'static str, bool)],
+        what: &str,
+    ) -> Result<Self, Failure> {
+        let mut flags = Vec::new();
+        let mut operand = None;
+        let mut args = args.iter().copied();
+        while let Some(arg) = args.next() {
+            match table.iter().find(|&&(name, _)| name == arg) {
+                Some(&(name, true)) => {
+                    let value = args
+                        .next()
+                        .ok_or_else(|| usage(format!("{arg} needs a value")))?;
+                    flags.push((name, Some(value)));
+                }
+                Some(&(name, false)) => flags.push((name, None)),
+                None if arg.starts_with("--") => {
+                    return Err(usage(format!("unknown option {arg:?}")))
+                }
+                None if operand.is_none() => operand = Some(arg),
+                None => return Err(usage(format!("unexpected operand {arg:?}"))),
+            }
+        }
+        let operand = operand.ok_or_else(|| usage(format!("missing {what}")))?;
+        Ok(Opts { flags, operand })
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|&(n, _)| n == name)
+    }
+
+    /// The value of option `name`; the last occurrence wins.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|&&(n, _)| n == name)
+            .and_then(|&(_, v)| v)
+    }
+}
+
+fn read_bench(path: &str) -> Result<String, Failure> {
+    fs::read_to_string(path).map_err(|e| Failure::Serve(ServeError::io(path, e)))
+}
+
+/// The circuit name a submission defaults to: the file name sans `.bench`.
+fn default_name(path: &str) -> &str {
+    path.rsplit('/')
         .next()
         .unwrap_or(path)
-        .trim_end_matches(".bench");
-    let (admitted, doc) = client.lint(name.unwrap_or(default_name), &bench)?;
-    println!("{}", doc.to_text());
-    println!("admitted {admitted}");
-    Ok(())
+        .trim_end_matches(".bench")
 }
 
 fn num(text: &str) -> Result<Value, Failure> {
     text.parse::<u64>()
         .map(Value::num_u64)
         .map_err(|_| usage(format!("{text:?} is not a number")))
-}
-
-fn flag_value<'a>(args: &'a [&String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a.as_str() == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
 }
 
 fn print_status(doc: &Value) {
