@@ -12,7 +12,8 @@ cargo test -q --workspace --offline
 # debug subset; this release run adds every circuit the pins know.
 TVS_PIN_FULL=1 cargo test -q --release --offline --test baseline_pin --test strategy_pin \
   --test table_pin
-TVS_PIN_FULL=1 cargo test -q --release --offline -p tvs-atpg --test podem_pin
+TVS_PIN_FULL=1 cargo test -q --release --offline -p tvs-atpg --test podem_pin \
+  --test verdict_reuse
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Microbench smoke: the incremental simulation kernel must evaluate fewer
@@ -51,6 +52,11 @@ emit_and_interpret() { # <profile> [--budget N]
 for p in s444 s526 s641 s953 s1196 s1423; do
   emit_and_interpret "$p"
 done
+# The baseline ATPG and the ex fallback must read the prescreen's PODEM
+# verdicts (DESIGN.md §11.5). Switching that off changes no output byte,
+# so only the counter can catch a config drift that does it.
+"$TVS" run "$PROGS/s1196.bench" --stats > "$PROGS/s1196.stats"
+awk '$1 == "atpg.podem_reused" && $2 > 0 { ok = 1 } END { exit !ok }' "$PROGS/s1196.stats"
 emit_and_interpret s5378  --budget 4000000
 emit_and_interpret s9234  --budget 8000000
 for p in s13207 s15850; do

@@ -1,12 +1,12 @@
 //! The full-shift baseline ATPG flow (the paper's "ATALANTA" column).
 
 use tvs_exec::Budget;
-use tvs_logic::{BitVec, Cube, Prng};
+use tvs_logic::{BitVec, Prng};
 use tvs_netlist::{Netlist, NetlistError, ScanView};
 
 use tvs_fault::{Fault, FaultList, SimSession};
 
-use crate::{random_phase, FillStrategy, Podem, PodemConfig, PodemResult};
+use crate::{random_phase, FillStrategy, Podem, PodemConfig, PodemResult, Verdicts};
 
 /// Configuration of the baseline flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +45,9 @@ impl Default for AtpgConfig {
     }
 }
 
-/// A generated pattern set with its bookkeeping.
-#[derive(Debug, Clone)]
+/// A generated pattern set with its bookkeeping. The default is the empty,
+/// complete set.
+#[derive(Debug, Clone, Default)]
 pub struct PatternSet {
     /// Fully specified test vectors over the combinational inputs
     /// (PIs then PPIs).
@@ -63,9 +64,10 @@ pub struct PatternSet {
 }
 
 /// How a [`generate_tests`] run ended.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum AtpgTermination {
     /// Every fault was targeted (detected, proven redundant, or aborted).
+    #[default]
     Complete,
     /// The work budget ran out; the pattern set is a valid partial result.
     BudgetExhausted {
@@ -139,6 +141,23 @@ impl From<NetlistError> for AtpgOutcome {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn generate_tests(netlist: &Netlist, config: &AtpgConfig) -> Result<PatternSet, AtpgOutcome> {
+    generate_tests_with(netlist, config, &Verdicts::new(config.podem))
+}
+
+/// [`generate_tests`] with its deterministic phase answered from
+/// `verdicts` wherever the table's lookup rule decides a PODEM call
+/// (DESIGN.md §11.5). Budget charges and PRNG draws are those of live
+/// PODEM runs, so the pattern set is identical to [`generate_tests`]'s for
+/// any table recorded on the same netlist.
+///
+/// # Errors
+///
+/// Returns [`AtpgOutcome::Netlist`] if the netlist cannot be levelized.
+pub fn generate_tests_with(
+    netlist: &Netlist,
+    config: &AtpgConfig,
+    verdicts: &Verdicts,
+) -> Result<PatternSet, AtpgOutcome> {
     tvs_lint::debug_assert_netlist_clean(netlist, "atpg::generate_tests");
     let view = netlist.scan_view()?;
     let faults = FaultList::collapsed(netlist);
@@ -162,7 +181,6 @@ pub fn generate_tests(netlist: &Netlist, config: &AtpgConfig) -> Result<PatternS
     budget.charge((patterns.len() * faults.len()) as u64);
     let mut podem = Podem::with_config(netlist, &view, config.podem);
     let mut session = SimSession::new(netlist, &view);
-    let free = Cube::unspecified(view.input_count());
     let mut redundant = Vec::new();
     let mut aborted = Vec::new();
     let mut residual: Vec<Fault> = Vec::new();
@@ -177,7 +195,7 @@ pub fn generate_tests(netlist: &Netlist, config: &AtpgConfig) -> Result<PatternS
             residual.push(faults.faults()[target]);
             continue;
         }
-        match podem.generate(faults.faults()[target], &free) {
+        match podem.generate_free(faults.faults()[target], verdicts) {
             PodemResult::Test(cube) => {
                 let bits = config.fill.apply(&cube, &mut rng);
                 // Drop everything the filled vector detects.

@@ -16,6 +16,8 @@
 //!   (random phase with fault dropping, deterministic phase, reverse-order
 //!   static compaction) that produces the `aTV` vector counts of the paper's
 //!   tables;
+//! * [`Verdicts`] — a run-wide table of unconstrained PODEM verdicts that
+//!   answers shallower queries for the same fault without a second search;
 //! * [`FillStrategy`] — how don't-care bits are specified after generation.
 
 #![forbid(unsafe_code)]
@@ -25,8 +27,13 @@ mod engine;
 mod fill;
 mod podem;
 mod random;
+mod verdicts;
 
-pub use engine::{compact_patterns, generate_tests, AtpgConfig, AtpgOutcome, PatternSet};
+pub use engine::{
+    compact_patterns, generate_tests, generate_tests_with, AtpgConfig, AtpgOutcome,
+    AtpgTermination, PatternSet,
+};
 pub use fill::FillStrategy;
 pub use podem::{Podem, PodemConfig, PodemResult};
 pub use random::random_phase;
+pub use verdicts::Verdicts;

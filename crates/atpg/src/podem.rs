@@ -18,6 +18,8 @@ use tvs_netlist::{GateId, GateKind, Netlist, ScanView};
 
 use tvs_fault::{Fault, Scoap};
 
+use crate::Verdicts;
+
 /// Tuning knobs for [`Podem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PodemConfig {
@@ -140,6 +142,10 @@ pub struct Podem<'a> {
     evals: u64,
     backtrack_counter: tvs_exec::Counter,
     eval_counter: tvs_exec::Counter,
+    /// Calls [`generate_free`](Self::generate_free) answered from a
+    /// verdict table, and the backtracks those answers stand for.
+    reused_counter: tvs_exec::Counter,
+    reused_backtrack_counter: tvs_exec::Counter,
     last_backtracks: u32,
 }
 
@@ -171,6 +177,8 @@ impl<'a> Podem<'a> {
             evals: 0,
             backtrack_counter: tvs_exec::counter("atpg.backtracks"),
             eval_counter: tvs_exec::counter("atpg.podem_evals"),
+            reused_counter: tvs_exec::counter("atpg.podem_reused"),
+            reused_backtrack_counter: tvs_exec::counter("atpg.backtracks_reused"),
             last_backtracks: 0,
         }
     }
@@ -193,6 +201,22 @@ impl<'a> Podem<'a> {
     /// Panics if `constraint.len() != view.input_count()`.
     pub fn generate(&mut self, fault: Fault, constraint: &Cube) -> PodemResult {
         self.generate_observable(fault, constraint, None)
+    }
+
+    /// An unconstrained [`generate`](Self::generate), answered from
+    /// `verdicts` when its lookup rule decides the call (DESIGN.md §11.5).
+    /// An answered call sets [`last_backtracks`](Self::last_backtracks) to
+    /// the recorded count, so budget charges read exactly as if the search
+    /// had run; it counts toward `atpg.podem_reused` and
+    /// `atpg.backtracks_reused` instead of `atpg.backtracks`.
+    pub fn generate_free(&mut self, fault: Fault, verdicts: &Verdicts) -> PodemResult {
+        if let Some((result, backtracks)) = verdicts.lookup(fault, &self.config) {
+            self.last_backtracks = backtracks;
+            self.reused_counter.incr();
+            self.reused_backtrack_counter.add(u64::from(backtracks));
+            return result;
+        }
+        self.generate(fault, &Cube::unspecified(self.view.input_count()))
     }
 
     /// Like [`generate`](Self::generate), but only the combinational

@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use tvs_exec::TaskPanic;
-use tvs_logic::{BitVec, Cube};
+use tvs_logic::BitVec;
 use tvs_netlist::NetlistError;
 
 use tvs_atpg::PodemResult;
@@ -420,7 +420,6 @@ impl RunState<'_, '_> {
         let mut redundant: Vec<Fault> = std::mem::take(&mut self.prescreen_redundant);
         let prescreen_redundant_count = redundant.len();
         let mut aborted: Vec<Fault> = std::mem::take(&mut self.prescreen_aborted);
-        let free = Cube::unspecified(self.eng.view.input_count());
         let mut remaining: Vec<usize> = self
             .sets
             .uncaught_indices()
@@ -436,7 +435,8 @@ impl RunState<'_, '_> {
                 break;
             }
             let idx = remaining[0];
-            match self.podem.generate(self.sets.fault(idx), &free) {
+            let fault = self.sets.fault(idx);
+            match self.podem.generate_free(fault, &self.verdicts) {
                 PodemResult::Test(cube) => {
                     self.budget.charge(
                         1 + u64::from(self.podem.last_backtracks()) + remaining.len() as u64,
@@ -459,7 +459,7 @@ impl RunState<'_, '_> {
                     );
                     if next.len() == remaining.len() {
                         // Defensive: avoid livelock on a sim/ATPG disagreement.
-                        aborted.push(self.sets.fault(idx));
+                        aborted.push(fault);
                         next.retain(|&i| i != idx);
                     }
                     remaining = next;
@@ -468,13 +468,13 @@ impl RunState<'_, '_> {
                 PodemResult::Untestable => {
                     self.budget
                         .charge(1 + u64::from(self.podem.last_backtracks()));
-                    redundant.push(self.sets.fault(idx));
+                    redundant.push(fault);
                     remaining.remove(0);
                 }
                 PodemResult::Aborted => {
                     self.budget
                         .charge(1 + u64::from(self.podem.last_backtracks()));
-                    aborted.push(self.sets.fault(idx));
+                    aborted.push(fault);
                     remaining.remove(0);
                 }
             }

@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, VecDeque};
 use tvs_exec::{inject, Budget, ThreadPool};
 use tvs_logic::{BitVec, Cube, Prng};
 
-use tvs_atpg::{generate_tests, Podem, PodemConfig, PodemResult};
+use tvs_atpg::{generate_tests_with, PatternSet, Podem, PodemConfig, PodemResult, Verdicts};
 use tvs_fault::{Fault, Scoap, SimSession, StaticPrune};
 use tvs_scan::CostModel;
 
@@ -50,7 +50,11 @@ pub(crate) struct RunState<'r, 'a> {
     pub(crate) prescreen_aborted: Vec<Fault>,
     /// The baseline pattern set (run up front; needed for the ratios anyway
     /// and for the marginal-efficiency stop rule).
-    pub(crate) baseline: tvs_atpg::PatternSet,
+    pub(crate) baseline: PatternSet,
+    /// The prescreen's unconstrained PODEM verdicts, which answer the
+    /// baseline's and the `ex` fallback's calls for the same faults
+    /// (DESIGN.md §11.5). Empty on resume.
+    pub(crate) verdicts: Verdicts,
     /// The run's work budget (work units, never wall clock).
     pub(crate) budget: Budget,
     /// The strategy's persistent cursor (ADI counts, scheme genome, active
@@ -71,6 +75,28 @@ pub(crate) struct RunState<'r, 'a> {
     pub(crate) prescreen_trace: Option<PrescreenTrace>,
 }
 
+/// The prescreen's PODEM settings. Redundancy proofs are worth extra
+/// effort: an abort there silently costs coverage, so the prescreen gets a
+/// much deeper backtrack budget than per-cycle constrained generation.
+fn prescreen_podem(cfg: &StitchConfig) -> PodemConfig {
+    PodemConfig {
+        backtrack_limit: cfg.podem.backtrack_limit.saturating_mul(8),
+        ..cfg.podem
+    }
+}
+
+/// The conventional-ATPG reference set, with PODEM calls answered from
+/// `verdicts` where the table decides them.
+fn baseline(
+    eng: &StitchEngine<'_>,
+    cfg: &StitchConfig,
+    verdicts: &Verdicts,
+) -> Result<PatternSet, StitchError> {
+    generate_tests_with(eng.netlist, &cfg.baseline, verdicts).map_err(|e| match e {
+        tvs_atpg::AtpgOutcome::Netlist(err) => StitchError::Netlist(err),
+    })
+}
+
 impl<'r, 'a> RunState<'r, 'a> {
     pub(crate) fn new(
         eng: &'r StitchEngine<'a>,
@@ -78,9 +104,6 @@ impl<'r, 'a> RunState<'r, 'a> {
         plan: Option<&[Option<PrescreenRecord>]>,
     ) -> Result<Self, StitchError> {
         let scoap = Scoap::compute(eng.netlist, &eng.view);
-        let baseline = generate_tests(eng.netlist, &cfg.baseline).map_err(|e| match e {
-            tvs_atpg::AtpgOutcome::Netlist(err) => StitchError::Netlist(err),
-        })?;
         let mut state = RunState {
             eng,
             cfg,
@@ -97,7 +120,8 @@ impl<'r, 'a> RunState<'r, 'a> {
             never_target: BTreeSet::new(),
             prescreen_redundant: Vec::new(),
             prescreen_aborted: Vec::new(),
-            baseline,
+            baseline: PatternSet::default(),
+            verdicts: Verdicts::new(prescreen_podem(cfg)),
             budget: Budget::from_limit(cfg.budget),
             strategy_cursor: Vec::new(),
             k: 0,
@@ -107,7 +131,10 @@ impl<'r, 'a> RunState<'r, 'a> {
             stop: None,
             prescreen_trace: None,
         };
+        // The prescreen runs first so the baseline can read its verdicts;
+        // neither reads the other's PRNG, budget or simulation session.
         state.prescreen(plan)?;
+        state.baseline = baseline(eng, cfg, &state.verdicts)?;
         // Strategy cold start: the cursor (ADI counts, scheme genome, …) is
         // computed once against the freshly tracked fault sets, then the
         // strategy picks the opening shift size. Legacy strategies have an
@@ -253,10 +280,10 @@ impl<'r, 'a> RunState<'r, 'a> {
         let prescreen_aborted: Vec<Fault> = never_target.iter().map(|&i| sets.fault(i)).collect();
 
         // The baseline pattern set is deterministic given the config, so it
-        // is recomputed rather than checkpointed.
-        let baseline = generate_tests(eng.netlist, &cfg.baseline).map_err(|e| match e {
-            tvs_atpg::AtpgOutcome::Netlist(err) => StitchError::Netlist(err),
-        })?;
+        // is recomputed rather than checkpointed; with no prescreen to read,
+        // every PODEM call runs live.
+        let verdicts = Verdicts::new(prescreen_podem(cfg));
+        let baseline = baseline(eng, cfg, &verdicts)?;
         let shifts = snap.cycles.iter().map(|c| c.shift).collect();
         Ok(RunState {
             eng,
@@ -275,6 +302,7 @@ impl<'r, 'a> RunState<'r, 'a> {
             prescreen_redundant,
             prescreen_aborted,
             baseline,
+            verdicts,
             budget: Budget::with_spent(cfg.budget, snap.budget_spent),
             strategy_cursor: snap.strategy_cursor,
             k: snap.k,
@@ -447,13 +475,7 @@ impl<'r, 'a> RunState<'r, 'a> {
         }
         let free = Cube::unspecified(self.eng.view.input_count());
         let mut tracked: Vec<Fault> = Vec::with_capacity(faults.len());
-        // Redundancy proofs are worth extra effort: an abort here silently
-        // costs coverage, so the prescreen gets a much deeper backtrack
-        // budget than per-cycle constrained generation.
-        let deep = PodemConfig {
-            backtrack_limit: self.cfg.podem.backtrack_limit.saturating_mul(8),
-            ..self.cfg.podem
-        };
+        let deep = self.verdicts.config();
         // Verdicts are independent per fault, so the deep PODEM runs fan out
         // over the pool in fixed 32-fault chunks (one prover per chunk) and
         // merge back in fault-index order — bit-identical at any thread
@@ -519,6 +541,7 @@ impl<'r, 'a> RunState<'r, 'a> {
                 PodemResult::Aborted => PodemVerdict::Aborted,
             };
             verdict_at[slot] = Some((kind, backtracks));
+            self.verdicts.record(needs[slot].1, result, backtracks);
         }
         let mut verdicts = verdict_at.into_iter();
         for (i, &fault) in faults.iter().enumerate() {

@@ -1,9 +1,10 @@
 //! Cross-crate validity checks of the ATPG substrate: every cube PODEM
 //! emits must detect its target under fault simulation, for any completion
-//! of the don't-cares; `Untestable` verdicts must survive random search.
+//! of the don't-cares; `Untestable` verdicts must survive random search;
+//! an out-of-budget baseline flow salvages a typed residual.
 
-use tvs::atpg::{Podem, PodemConfig, PodemResult};
-use tvs::circuits::{synthesize, SynthConfig};
+use tvs::atpg::{generate_tests, AtpgConfig, AtpgTermination, Podem, PodemConfig, PodemResult};
+use tvs::circuits::{self, synthesize, SynthConfig};
 use tvs::fault::{FaultList, FaultSim};
 use tvs::logic::{BitVec, Cube, Logic, Prng};
 
@@ -144,4 +145,34 @@ fn constrained_cubes_honor_their_pins() {
             assert!(fsim.detect(&bits, &[fault])[0]);
         }
     }
+}
+
+#[test]
+fn budget_exhausted_baseline_salvages_its_residual() {
+    let netlist = circuits::profile("s444").expect("profile").build();
+    let faults = FaultList::collapsed(&netlist);
+    // No random phase: the first PODEM call overruns the one-unit budget,
+    // so nearly every fault is left untargeted.
+    let config = AtpgConfig {
+        budget: Some(1),
+        random_patterns: 0,
+        random_useless: 0,
+        ..AtpgConfig::default()
+    };
+    let set = generate_tests(&netlist, &config).expect("levelizable profile");
+    match &set.termination {
+        AtpgTermination::BudgetExhausted { residual, spent } => {
+            assert!(*spent >= 1, "the boundary check trips only once spent");
+            assert!(set.patterns.len() <= 1, "at most the boundary overshoot");
+            assert!(residual.len() + set.redundant.len() + set.aborted.len() < faults.len());
+            assert!(residual.len() > faults.len() / 2);
+            assert!(residual
+                .iter()
+                .all(|f| !set.redundant.contains(f) && !set.aborted.contains(f)));
+            assert!(set.fault_coverage < 1.0);
+        }
+        AtpgTermination::Complete => panic!("a one-unit budget must run out"),
+    }
+    let full = generate_tests(&netlist, &AtpgConfig::default()).expect("levelizable profile");
+    assert_eq!(full.termination, AtpgTermination::Complete);
 }

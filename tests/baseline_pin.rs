@@ -14,7 +14,7 @@
 //! gates) and then scaled by [`SCALE`], which keeps the debug-build run
 //! short while still exercising multi-batch random phases.
 
-use tvs::atpg::{generate_tests, random_phase, AtpgConfig};
+use tvs::atpg::{generate_tests, random_phase, AtpgConfig, AtpgTermination};
 use tvs::bench::runner::Scaling;
 use tvs::fault::FaultList;
 use tvs::logic::Prng;
@@ -106,7 +106,7 @@ fn budget_exhausted_generate_tests_is_byte_identical() {
     };
     let set = generate_tests(&netlist, &config).expect("levelizable profile");
     assert!(
-        format!("{:?}", set.termination).starts_with("BudgetExhausted"),
+        matches!(set.termination, AtpgTermination::BudgetExhausted { .. }),
         "the pinned budget must run out"
     );
     let digest = fnv1a(format!("{set:?}").as_bytes());
