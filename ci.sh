@@ -57,6 +57,17 @@ done
 # so only the counter can catch a config drift that does it.
 "$TVS" run "$PROGS/s1196.bench" --stats > "$PROGS/s1196.stats"
 awk '$1 == "atpg.podem_reused" && $2 > 0 { ok = 1 } END { exit !ok }' "$PROGS/s1196.stats"
+# Candidate scoring and cycle classification run on the run's own
+# simulation session (DESIGN.md §11.6), so simulation work must not depend
+# on the thread count: both counters read the same at 1 and 2 threads.
+for t in 1 2; do
+  "$TVS" run "$PROGS/s1423.bench" --threads "$t" --stats > "$PROGS/s1423.t$t.stats"
+done
+for c in sim.gates_evaluated fault.slots_simulated; do
+  one=$(awk -v c="$c" '$1 == c { print $2 }' "$PROGS/s1423.t1.stats")
+  two=$(awk -v c="$c" '$1 == c { print $2 }' "$PROGS/s1423.t2.stats")
+  test -n "$one" && test "$one" = "$two"
+done
 emit_and_interpret s5378  --budget 4000000
 emit_and_interpret s9234  --budget 8000000
 for p in s13207 s15850; do

@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use tvs_fault::Fault;
+use tvs_logic::{Cube, Logic};
 
 use crate::{PodemConfig, PodemResult};
 
@@ -51,7 +52,67 @@ use crate::{PodemConfig, PodemResult};
 #[derive(Debug)]
 pub struct Verdicts {
     config: PodemConfig,
-    table: BTreeMap<Fault, (PodemResult, u32)>,
+    table: BTreeMap<Fault, (Record, u32)>,
+}
+
+/// A recorded verdict. The table lives for the whole run, so a `Test` cube
+/// is kept as two bit-planes (care, then value) instead of one byte per
+/// position, and rebuilt on lookup.
+#[derive(Debug)]
+enum Record {
+    Test {
+        /// The cube's position count.
+        len: usize,
+        /// The care plane's words, then the value plane's.
+        planes: Box<[u64]>,
+    },
+    Untestable,
+    Aborted,
+}
+
+impl Record {
+    fn pack(result: &PodemResult) -> Record {
+        match result {
+            PodemResult::Test(cube) => {
+                let words = cube.len().div_ceil(64);
+                let mut planes = vec![0u64; 2 * words];
+                for (i, v) in cube.iter().enumerate() {
+                    if let Some(bit) = v.to_bool() {
+                        planes[i / 64] |= 1 << (i % 64);
+                        planes[words + i / 64] |= u64::from(bit) << (i % 64);
+                    }
+                }
+                Record::Test {
+                    len: cube.len(),
+                    planes: planes.into_boxed_slice(),
+                }
+            }
+            PodemResult::Untestable => Record::Untestable,
+            PodemResult::Aborted => Record::Aborted,
+        }
+    }
+
+    fn unpack(&self) -> PodemResult {
+        match self {
+            Record::Test { len, planes } => {
+                let words = len.div_ceil(64);
+                let bit = |w: usize, i: usize| (planes[w + i / 64] >> (i % 64)) & 1 == 1;
+                PodemResult::Test(Cube::from_values(
+                    (0..*len)
+                        .map(|i| {
+                            if bit(0, i) {
+                                Logic::from(bit(words, i))
+                            } else {
+                                Logic::X
+                            }
+                        })
+                        .collect(),
+                ))
+            }
+            Record::Untestable => PodemResult::Untestable,
+            Record::Aborted => PodemResult::Aborted,
+        }
+    }
 }
 
 impl Verdicts {
@@ -71,7 +132,8 @@ impl Verdicts {
     /// Records the verdict of an unconstrained run on `fault` under
     /// [`config`](Self::config), with its `last_backtracks()`.
     pub fn record(&mut self, fault: Fault, result: PodemResult, backtracks: u32) {
-        self.table.insert(fault, (result, backtracks));
+        self.table
+            .insert(fault, (Record::pack(&result), backtracks));
     }
 
     /// The verdict and backtrack count an unconstrained run on `fault`
@@ -81,14 +143,14 @@ impl Verdicts {
         if query.xpath_check != self.config.xpath_check {
             return None;
         }
-        let (result, b) = self.table.get(&fault)?;
+        let (record, b) = self.table.get(&fault)?;
         let limit = query.backtrack_limit;
         if *b > limit {
             Some((PodemResult::Aborted, limit.saturating_add(1)))
-        } else if matches!(result, PodemResult::Aborted) {
+        } else if matches!(record, Record::Aborted) {
             None
         } else {
-            Some((result.clone(), *b))
+            Some((record.unpack(), *b))
         }
     }
 }

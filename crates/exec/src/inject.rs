@@ -1,7 +1,9 @@
 //! Deterministic fault-injection points for chaos testing.
 //!
 //! Library code plants named *injection points* at interesting failure sites
-//! (`inject::fire("stitch.sim.batch")`); chaos tests arm those sites with a
+//! (`inject::fire("stitch.sim.batch")`, hit once per non-empty batch of a
+//! stitched cycle's classification, which it fails with the `TaskPanic` a
+//! dying pool worker leaves); chaos tests arm those sites with a
 //! [`Trigger`] and assert that the forced failure degrades into a typed error
 //! or a salvaged partial result — never a process abort. In release builds
 //! every entry point here compiles to a no-op that reports "not armed", so
@@ -64,9 +66,9 @@ fn registry() -> &'static Mutex<BTreeMap<String, Site>> {
 
 #[cfg(debug_assertions)]
 fn with_registry<R>(f: impl FnOnce(&mut BTreeMap<String, Site>) -> R) -> R {
-    // A panicking test can poison this lock by design (panic_now fires while
-    // it is not held, but a failed assertion between arm/disarm might); the
-    // map itself is always consistent, so recover instead of cascading.
+    // A panicking test can poison this lock (a failed assertion between
+    // arm/disarm); the map itself is always consistent, so recover instead
+    // of cascading.
     let mut guard = registry().lock().unwrap_or_else(PoisonError::into_inner);
     f(&mut guard)
 }
@@ -194,13 +196,7 @@ pub fn fired_count(site: &str) -> u64 {
     }
 }
 
-/// Panics with a recognizable message for an injected failure. Only ever
-/// reached behind a [`fire`] decision, so release builds never hit it.
-pub fn panic_now(site: &str) -> ! {
-    panic!("{}", panic_message(site));
-}
-
-/// The panic payload [`panic_now`] raises for `site` — chaos tests match
+/// The message of an injected failure at `site` — chaos tests match
 /// salvaged error messages against this.
 pub fn panic_message(site: &str) -> String {
     format!("injected failure at {site}")

@@ -9,13 +9,18 @@
 //!   equivalence collapsing ([`collapse`](FaultList::collapsed));
 //! * [`FaultSim`] — a bit-parallel single-pattern multi-fault simulator in
 //!   the PROOFS/HOPE tradition: 64 faulty machines per sweep, each slot with
-//!   its *own* stimulus (required by the stitching engine, whose hidden
-//!   faults see mutated test vectors);
+//!   its *own* stimulus (the reference the session's kernels are tested
+//!   against, and the shape replay uses);
 //! * [`SimSession::detect_patterns`] — the transposed shape,
 //!   pattern-parallel single-fault propagation: 64 patterns per sweep
 //!   against one fault, returning a per-fault detection mask whose lowest
 //!   set bit is the first detecting pattern (random-pattern ATPG,
 //!   compaction, accidental-detection counts);
+//! * [`Machine`] — input-bit overrides plus one fault, run against a
+//!   seeded baseline in both shapes ([`SimSession::detect_machines`],
+//!   [`SimSession::run_machines`]): the stitching engine's candidate
+//!   scoring and cycle classification, where a hidden fault's mutated
+//!   stimulus is the cycle's vector with a few scan cells overridden;
 //! * [`Scoap`] — SCOAP controllability/observability testability measures,
 //!   used for the paper's "Hardness" fault-ordering strategy;
 //! * [`StaticPrune`] — pattern-independent pre-classification of faults on
@@ -37,5 +42,5 @@ pub use list::FaultList;
 pub use model::{Fault, FaultSite, StuckAt};
 pub use prune::{detect_pruned, StaticPrune};
 pub use scoap::Scoap;
-pub use session::{FaultError, SimSession};
+pub use session::{FaultError, Machine, SimSession};
 pub use sim::{detect_parallel, FaultSim, SlotSpec};

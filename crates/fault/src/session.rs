@@ -7,7 +7,7 @@ use std::fmt;
 use tvs_exec::Counter;
 use tvs_logic::BitVec;
 use tvs_netlist::{Netlist, ScanView};
-use tvs_sim::{Injection, ParallelSim};
+use tvs_sim::{Detection, Injection, ParallelSim};
 
 use crate::{Fault, SlotSpec};
 
@@ -24,6 +24,15 @@ pub enum FaultError {
     TooManySlots {
         /// The number of slots given.
         given: usize,
+    },
+    /// A machine overrides an input the scan view does not have.
+    InputIndex {
+        /// The offending machine's index.
+        machine: usize,
+        /// The overridden input index.
+        index: usize,
+        /// The view's input count.
+        inputs: usize,
     },
     /// A slot's stimulus does not match the scan view's input count.
     StimulusLength {
@@ -43,6 +52,14 @@ impl fmt::Display for FaultError {
             FaultError::TooManySlots { given } => {
                 write!(f, "{given} slots requested, a sweep holds at most 64")
             }
+            FaultError::InputIndex {
+                machine,
+                index,
+                inputs,
+            } => write!(
+                f,
+                "machine {machine} overrides input {index}, the scan view has {inputs}"
+            ),
             FaultError::StimulusLength { slot, got, want } => write!(
                 f,
                 "slot {slot} stimulus has {got} bits, the scan view expects {want}"
@@ -52,6 +69,33 @@ impl fmt::Display for FaultError {
 }
 
 impl Error for FaultError {}
+
+/// One faulty machine of the session's machine kernel: the stimulus with
+/// some input bits overridden, plus one fault.
+///
+/// The stitching engine's machines are of this form: an uncaught fault
+/// sees the cycle's vector unchanged, and a hidden fault sees it with the
+/// scan cells where its private chain image differs from the good one
+/// overridden (DESIGN.md §11.6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Machine<'m> {
+    /// `(input index, value)` pairs forced onto the stimulus, indexed like
+    /// the scan view's inputs (PIs then PPIs).
+    pub overrides: &'m [(usize, bool)],
+    /// The fault. It is injected after the overrides, so a fault on an
+    /// overridden input still wins.
+    pub fault: Fault,
+}
+
+impl Machine<'_> {
+    /// A machine that sees the stimulus unchanged.
+    pub const fn fault(fault: Fault) -> Self {
+        Machine {
+            overrides: &[],
+            fault,
+        }
+    }
+}
 
 /// A persistent multi-fault simulation session.
 ///
@@ -67,14 +111,15 @@ impl Error for FaultError {}
 /// * **slot allocation** — stimuli are packed into the 64 bit-parallel
 ///   machines of one sweep, with unused slots mirroring the baseline so they
 ///   cause no spurious events;
-/// * **batching** — [`run_jobs`](Self::run_jobs) accepts any number of
-///   machines and splits them into sweeps internally, removing the 64-slot
-///   ceiling from every caller;
-/// * **two detection shapes** — [`detect`](Self::detect) packs 64 faults
-///   against one broadcast pattern, [`detect_patterns`](Self::detect_patterns)
-///   packs 64 patterns against one fault (pattern-parallel single-fault
-///   propagation, DESIGN.md §11.3). Both read a 64-bit detection mask per
-///   sweep instead of per-slot output vectors.
+/// * **two detection shapes** over [`Machine`]s (input-bit overrides plus
+///   one fault) against a seeded baseline —
+///   [`run_machines`](Self::run_machines) (and [`detect`](Self::detect))
+///   packs 64 machines against one broadcast pattern, in as many sweeps as
+///   the machines need; [`detect_machines`](Self::detect_machines) (and
+///   [`detect_patterns`](Self::detect_patterns)) packs 64 patterns against
+///   one machine (pattern-parallel single-fault propagation, DESIGN.md
+///   §11.3, §11.6). Both read 64-bit detection masks per sweep, and read a
+///   machine's outputs only when it differs from the baseline.
 ///
 /// # Examples
 ///
@@ -239,28 +284,6 @@ impl<'a> SimSession<'a> {
             .collect())
     }
 
-    /// Simulates any number of machines, batching them into 64-slot sweeps
-    /// internally, and returns the outputs in job order.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::StimulusLength`] for a stimulus that does not match the
-    /// view (reported with its job index).
-    pub fn run_jobs(&mut self, jobs: &[SlotSpec<'_>]) -> Result<Vec<BitVec>, FaultError> {
-        let mut outs = Vec::with_capacity(jobs.len());
-        for (start, chunk) in jobs.chunks(64).enumerate() {
-            outs.extend(self.run_slots(chunk).map_err(|e| match e {
-                FaultError::StimulusLength { slot, got, want } => FaultError::StimulusLength {
-                    slot: start * 64 + slot,
-                    got,
-                    want,
-                },
-                other => other,
-            })?);
-        }
-        Ok(outs)
-    }
-
     /// Runs `faults` against a shared stimulus and reports, per fault,
     /// whether *any* combinational output differs from the fault-free
     /// machine.
@@ -276,19 +299,83 @@ impl<'a> SimSession<'a> {
         self.seed_broadcast(stimulus)?;
         let mut detected = Vec::with_capacity(faults.len());
         for chunk in faults.chunks(64) {
-            self.injections.clear();
-            self.injections.extend(
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(s, f)| f.injection(1u64 << s)),
-            );
-            let mask = self.psim.detect_mask(&self.injections);
+            let machines: Vec<Machine<'_>> = chunk.iter().map(|&f| Machine::fault(f)).collect();
+            let mask = self.slot_sweep(&machines).any;
             detected.extend((0..chunk.len()).map(|s| (mask >> s) & 1 == 1));
-            self.slot_counter.add(chunk.len() as u64);
-            self.sweep_counter.incr();
         }
         Ok(detected)
+    }
+
+    /// Slot-parallel machine simulation: runs every machine against the
+    /// broadcast `stimulus`, 64 machines per sweep, and returns each
+    /// machine's combinational outputs (POs then PPOs) if they differ from
+    /// the fault-free machine's, `None` if they equal them.
+    ///
+    /// The stimulus becomes (or reuses) the session baseline. A machine's
+    /// overrides and fault are injections in its own slot, so each sweep
+    /// re-evaluates only their cones, and a differing machine's outputs are
+    /// read off that sweep ([`ParallelSim::detected_outputs`]).
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError::StimulusLength`] if `stimulus` does not match the view,
+    /// [`FaultError::InputIndex`] for an override past the view's inputs.
+    pub fn run_machines(
+        &mut self,
+        stimulus: &BitVec,
+        machines: &[Machine<'_>],
+    ) -> Result<Vec<Option<BitVec>>, FaultError> {
+        self.check_overrides(machines)?;
+        self.seed_broadcast(stimulus)?;
+        let mut outs = Vec::with_capacity(machines.len());
+        for chunk in machines.chunks(64) {
+            let mask = self.slot_sweep(chunk).any;
+            outs.extend(
+                (0..chunk.len() as u32)
+                    .map(|s| ((mask >> s) & 1 == 1).then(|| self.psim.detected_outputs(s))),
+            );
+        }
+        Ok(outs)
+    }
+
+    /// One sweep of up to 64 machines against the seeded broadcast
+    /// baseline, machine `s` in slot `s`.
+    fn slot_sweep(&mut self, machines: &[Machine<'_>]) -> Detection {
+        self.injections.clear();
+        for (s, m) in machines.iter().enumerate() {
+            self.push_machine(m, 1u64 << s);
+        }
+        self.slot_counter.add(machines.len() as u64);
+        self.sweep_counter.incr();
+        self.psim.detect_mask(&self.injections, &[])
+    }
+
+    /// Appends `machine`'s injections in `slots`: its overrides as source
+    /// stems, then its fault, which therefore wins on an overridden input.
+    fn push_machine(&mut self, machine: &Machine<'_>, slots: u64) {
+        let view = self.view;
+        self.injections
+            .extend(machine.overrides.iter().map(|&(i, stuck)| Injection {
+                gate: view.input_gate(i),
+                pin: None,
+                stuck,
+                slots,
+            }));
+        self.injections.push(machine.fault.injection(slots));
+    }
+
+    fn check_overrides(&self, machines: &[Machine<'_>]) -> Result<(), FaultError> {
+        let inputs = self.view.input_count();
+        for (machine, m) in machines.iter().enumerate() {
+            if let Some(&(index, _)) = m.overrides.iter().find(|&&(i, _)| i >= inputs) {
+                return Err(FaultError::InputIndex {
+                    machine,
+                    index,
+                    inputs,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Pattern-parallel single-fault propagation: simulates every fault in
@@ -341,6 +428,40 @@ impl<'a> SimSession<'a> {
         patterns: &[BitVec],
         faults: &[Fault],
     ) -> Result<Vec<u64>, FaultError> {
+        let machines: Vec<Machine<'_>> = faults.iter().map(|&f| Machine::fault(f)).collect();
+        Ok(self
+            .detect_machines(patterns, &machines, &[])?
+            .into_iter()
+            .map(|d| d.any)
+            .collect())
+    }
+
+    /// Pattern-parallel machine simulation: simulates every machine against
+    /// up to 64 `patterns` and returns one [`Detection`] per machine, where
+    /// bit `j` of `any` is set iff the machine's outputs differ from the
+    /// fault-free machine's under pattern `j`, and bit `j` of `watched`
+    /// iff one of the outputs `o` with `watched[o]` set does.
+    ///
+    /// The patterns are packed one per slot into a single good-machine
+    /// baseline; each machine then costs one incremental sweep with its
+    /// overrides and fault injected in every pattern's slot, so an
+    /// override pins its input to one value under every pattern.
+    /// [`detect_patterns`](Self::detect_patterns) is this call for
+    /// machines without overrides, reading `any` only.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError::EmptyBatch`] for no patterns,
+    /// [`FaultError::TooManySlots`] for more than 64,
+    /// [`FaultError::StimulusLength`] (with the pattern's index) for a
+    /// pattern that does not match the view, and
+    /// [`FaultError::InputIndex`] for an override past the view's inputs.
+    pub fn detect_machines(
+        &mut self,
+        patterns: &[BitVec],
+        machines: &[Machine<'_>],
+        watched: &[bool],
+    ) -> Result<Vec<Detection>, FaultError> {
         if patterns.is_empty() {
             return Err(FaultError::EmptyBatch);
         }
@@ -352,6 +473,7 @@ impl<'a> SimSession<'a> {
         for (j, pattern) in patterns.iter().enumerate() {
             self.check_width(j, pattern)?;
         }
+        self.check_overrides(machines)?;
         self.words.fill(0);
         for (j, pattern) in patterns.iter().enumerate() {
             for (i, bit) in pattern.iter().enumerate() {
@@ -360,14 +482,16 @@ impl<'a> SimSession<'a> {
         }
         self.seed_words();
         let valid = u64::MAX >> (64 - patterns.len());
-        let masks: Vec<u64> = faults
-            .iter()
-            .map(|f| self.psim.detect_mask(&[f.injection(valid)]))
-            .collect();
+        let mut dets = Vec::with_capacity(machines.len());
+        for m in machines {
+            self.injections.clear();
+            self.push_machine(m, valid);
+            dets.push(self.psim.detect_mask(&self.injections, watched));
+        }
         self.slot_counter
-            .add((faults.len() * patterns.len()) as u64);
-        self.pattern_sweep_counter.add(faults.len() as u64);
-        Ok(masks)
+            .add((machines.len() * patterns.len()) as u64);
+        self.pattern_sweep_counter.add(machines.len() as u64);
+        Ok(dets)
     }
 }
 
@@ -432,33 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn run_jobs_reports_global_slot_index() {
-        let n = and2();
-        let v = n.scan_view().unwrap();
-        let mut session = SimSession::new(&n, &v);
-        let ok = BitVec::from_bools([true, false]);
-        let short = BitVec::from_bools([true]);
-        let mut jobs: Vec<SlotSpec<'_>> = (0..70)
-            .map(|_| SlotSpec {
-                stimulus: &ok,
-                fault: None,
-            })
-            .collect();
-        jobs[66] = SlotSpec {
-            stimulus: &short,
-            fault: None,
-        };
-        assert_eq!(
-            session.run_jobs(&jobs),
-            Err(FaultError::StimulusLength {
-                slot: 66,
-                got: 1,
-                want: 2,
-            })
-        );
-    }
-
-    #[test]
     fn incremental_sweeps_match_cold_sessions() {
         let n = and2();
         let v = n.scan_view().unwrap();
@@ -469,7 +566,7 @@ mod tests {
         let mut warm = SimSession::new(&n, &v);
         warm.baseline(&tv).unwrap();
         let warm_outs = warm
-            .run_jobs(&[
+            .run_slots(&[
                 SlotSpec {
                     stimulus: &tv,
                     fault: Some(fault),
@@ -483,7 +580,7 @@ mod tests {
 
         let mut cold = SimSession::new(&n, &v);
         let cold_outs = cold
-            .run_jobs(&[
+            .run_slots(&[
                 SlotSpec {
                     stimulus: &tv,
                     fault: Some(fault),

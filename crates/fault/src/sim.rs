@@ -8,9 +8,8 @@ use crate::{Fault, FaultError, SimSession};
 
 /// One simulator slot: a stimulus and an optional fault.
 ///
-/// Slots are fully independent machines — the stitching engine exploits this
-/// by giving every hidden fault its *own* mutated test vector in the same
-/// sweep.
+/// Slots are fully independent machines, each with its own stimulus in the
+/// same sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotSpec<'a> {
     /// The combinational input pattern (PIs then PPIs).

@@ -12,7 +12,8 @@
 //!   pin to a constant in selected slots. This is the engine under both the
 //!   PPSFP-style fault simulator and the stitching engine's hidden-fault
 //!   bookkeeping, where each slot simulates a *different* faulty machine
-//!   under a *different* mutated stimulus.
+//!   whose mutated stimulus is a set of source-stem injections
+//!   ([`ParallelSim::detect_mask`]).
 //!
 //! [`eval_single`] wraps [`ParallelSim`] for the common one-pattern,
 //! fault-free case.
@@ -24,6 +25,6 @@ mod parallel;
 mod single;
 mod threeval;
 
-pub use parallel::{Injection, ParallelSim};
+pub use parallel::{Detection, Injection, ParallelSim};
 pub use single::eval_single;
 pub use threeval::ThreeValSim;

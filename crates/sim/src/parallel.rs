@@ -29,6 +29,27 @@ pub struct Injection {
     pub slots: u64,
 }
 
+/// The detection masks of one [`ParallelSim::detect_mask`] sweep: bit `s`
+/// is set iff machine `s`'s outputs differ from the baseline's machine `s`
+/// on any output (`any`) or on a watched one (`watched`, a subset of
+/// `any`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Detection {
+    /// Slots with some differing output.
+    pub any: u64,
+    /// Slots with a differing watched output.
+    pub watched: u64,
+}
+
+impl Detection {
+    fn record(&mut self, diff: u64, watched: bool) {
+        self.any |= diff;
+        if watched {
+            self.watched |= diff;
+        }
+    }
+}
+
 /// 64-slot bit-parallel two-valued simulator.
 ///
 /// Each bit position of every `u64` word is an independent machine with its
@@ -78,6 +99,9 @@ pub struct ParallelSim<'a> {
     /// Whether the baseline was seeded without injections, so an output can
     /// only differ from it through a diverged driver or a capture injection.
     base_clean: bool,
+    /// Whether the last `detect_mask` took the general sweep, which leaves
+    /// every output word current.
+    detect_general: bool,
     /// Combinational gates carrying injections in the baseline sweep; they
     /// must be re-evaluated by every incremental sweep (removing an
     /// injection changes a gate's function just like adding one).
@@ -109,6 +133,7 @@ impl<'a> ParallelSim<'a> {
             base_outputs: Vec::new(),
             base_valid: false,
             base_clean: false,
+            detect_general: false,
             base_inj_gates: Vec::new(),
             base_dirty: Vec::new(),
             queued: vec![false; netlist.gate_count()],
@@ -270,42 +295,50 @@ impl<'a> ParallelSim<'a> {
     }
 
     /// Runs one incremental sweep that keeps the seeded baseline's own
-    /// stimulus and applies only `injections`, and returns the **detection
-    /// mask**: bit `s` is set iff some combinational output of machine `s`
-    /// differs from the baseline's machine `s`.
+    /// stimulus and applies only `injections`, and returns its
+    /// [`Detection`] masks: bit `s` of `any` is set iff some combinational
+    /// output of machine `s` differs from the baseline's machine `s`, and
+    /// bit `s` of `watched` iff one of the outputs `o` with `watched[o]`
+    /// set does (outputs past the end of `watched` are not watched).
     ///
-    /// The mask equals OR-ing `output_word(o) ^ baseline output o` over
-    /// every output after `eval_incremental(baseline stimulus, injections)`.
+    /// `any` equals OR-ing `output_word(o) ^ baseline output o` over every
+    /// output after `eval_incremental(baseline stimulus, injections)`.
     /// On a baseline seeded without injections (the fault simulator's
     /// case) the work is bounded by the injection cones: no stimulus word
     /// is compared, and only the outputs of diverged drivers and of
-    /// capture-injected cells are read. This is the inner loop of both
-    /// fault-simulation shapes: 64 faults against one broadcast pattern
-    /// (one injection per slot), and one fault against 64 patterns (one
-    /// injection across every slot).
+    /// capture-injected cells are read. A source-stem injection overrides
+    /// the stimulus bit like any other: later injections on the same gate
+    /// and slot win, so a machine can list input-bit overrides first and
+    /// its fault last. This is the inner loop of both fault-simulation
+    /// shapes: 64 machines against one broadcast pattern (one slot each),
+    /// and one machine against 64 patterns (every slot).
     ///
     /// On that fast path [`output_word`](Self::output_word) is left
-    /// untouched; the next [`eval_incremental`](Self::eval_incremental) or
-    /// `detect_mask` restores the baseline as usual.
+    /// untouched; read a machine's outputs with
+    /// [`detected_outputs`](Self::detected_outputs). The next
+    /// [`eval_incremental`](Self::eval_incremental) or `detect_mask`
+    /// restores the baseline as usual.
     ///
     /// # Panics
     ///
     /// Panics if no baseline is seeded, or if an injection names an
     /// out-of-range pin.
-    pub fn detect_mask(&mut self, injections: &[Injection]) -> u64 {
+    pub fn detect_mask(&mut self, injections: &[Injection], watched: &[bool]) -> Detection {
         assert!(self.base_valid, "detect_mask needs a seeded baseline");
-        if !self.base_clean {
+        let is_watched = |o: usize| watched.get(o).copied().unwrap_or(false);
+        let mut det = Detection::default();
+        self.detect_general = !self.base_clean;
+        if self.detect_general {
             // This call may drop a baseline injection, which moves signals
             // and outputs the injection-driven path below cannot see: take
             // the general sweep and compare every output.
             let inputs = std::mem::take(&mut self.base_inputs);
             self.eval_incremental(&inputs, injections);
             self.base_inputs = inputs;
-            return self
-                .outputs
-                .iter()
-                .zip(&self.base_outputs)
-                .fold(0, |acc, (w, b)| acc | (w ^ b));
+            for (o, (w, b)) in self.outputs.iter().zip(&self.base_outputs).enumerate() {
+                det.record(w ^ b, is_watched(o));
+            }
+            return det;
         }
         for i in std::mem::take(&mut self.base_dirty) {
             self.words[i.index()] = self.base_words[i.index()];
@@ -329,19 +362,50 @@ impl<'a> ParallelSim<'a> {
         }
         self.drain();
 
-        let mut diff = 0u64;
         for &g in &self.base_dirty {
             for &o in self.view.outputs_driven_by(g) {
-                diff |= self.output_value(o as usize) ^ self.base_outputs[o as usize];
+                let o = o as usize;
+                det.record(self.output_value(o) ^ self.base_outputs[o], is_watched(o));
             }
         }
         for inj in injections {
             // Capture injections alter a PPO without touching any signal.
             if let (Some(0), Some(o)) = (inj.pin, self.view.capture_output(inj.gate)) {
-                diff |= self.output_value(o) ^ self.base_outputs[o];
+                det.record(self.output_value(o) ^ self.base_outputs[o], is_watched(o));
             }
         }
-        diff
+        det
+    }
+
+    /// The combinational outputs (POs then PPOs) of machine `slot` after
+    /// the last [`detect_mask`](Self::detect_mask) call, without a second
+    /// sweep: on the clean-baseline fast path the baseline's outputs with
+    /// those of diverged drivers and capture-injected cells read afresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= 64`.
+    pub fn detected_outputs(&self, slot: u32) -> BitVec {
+        if self.detect_general {
+            return self.output_slot(slot);
+        }
+        let mut out: BitVec = self
+            .base_outputs
+            .iter()
+            .map(|w| (w >> slot) & 1 == 1)
+            .collect();
+        let capture = self
+            .touched
+            .iter()
+            .filter_map(|&g| self.view.capture_output(g));
+        let driven = self
+            .base_dirty
+            .iter()
+            .flat_map(|&g| self.view.outputs_driven_by(g).iter().map(|&o| o as usize));
+        for o in driven.chain(capture) {
+            out.set(o, (self.output_value(o) >> slot) & 1 == 1);
+        }
+        out
     }
 
     /// Seeds the worklist with the baseline's injected gates (removing an
@@ -772,10 +836,27 @@ mod tests {
                         }
                     })
                     .collect();
+                let watched: Vec<bool> = (0..v.output_count()).map(|_| rng.next_bool()).collect();
                 oracle.eval_incremental(&base, &injections);
-                let expect =
-                    (0..v.output_count()).fold(0, |acc, o| acc | (oracle.output_word(o) ^ good[o]));
-                assert_eq!(fast.detect_mask(&injections), expect, "round {round}");
+                let diff = |o: usize| oracle.output_word(o) ^ good[o];
+                let expect = Detection {
+                    any: (0..v.output_count()).fold(0, |acc, o| acc | diff(o)),
+                    watched: (0..v.output_count())
+                        .filter(|&o| watched[o])
+                        .fold(0, |acc, o| acc | diff(o)),
+                };
+                assert_eq!(
+                    fast.detect_mask(&injections, &watched),
+                    expect,
+                    "round {round}"
+                );
+                for slot in 0..64 {
+                    assert_eq!(
+                        fast.detected_outputs(slot),
+                        oracle.output_slot(slot),
+                        "round {round} slot {slot}"
+                    );
+                }
             }
         }
     }

@@ -2,70 +2,48 @@
 //! simulate every live faulty machine against the cycle's good baseline,
 //! and move faults between `f_c` / `f_h` / `f_u`.
 
-use tvs_exec::{inject, TaskPanic, ThreadPool};
+use tvs_exec::{inject, TaskPanic};
 use tvs_logic::BitVec;
-use tvs_netlist::{Netlist, ScanView};
 
-use tvs_fault::{Fault, SimSession, SlotSpec};
+use tvs_fault::Machine;
 
 use crate::state::RunState;
+use crate::vector::hidden_overrides;
 use crate::{Classification, CycleRecord};
 
 impl RunState<'_, '_> {
-    /// Simulates `(stimulus, fault)` jobs, outputs in job order: the
-    /// persistent session at `threads <= 1` (incremental against the seeded
-    /// cycle baseline), the pooled fan-out otherwise (each worker seeds its
-    /// own session with `baseline` and sweeps incrementally from there).
-    /// Both paths compute the same pure function of the jobs, and both
-    /// degrade to the same deterministic [`TaskPanic`] when a worker dies —
-    /// the lowest-index failure wins at any thread count.
-    pub(crate) fn batch(
+    /// Simulates `machines` against the cycle's `vector` on the run's
+    /// persistent session (incremental against the seeded cycle baseline)
+    /// and returns each machine's outputs, `None` where they equal the
+    /// good machine's. An armed `stitch.sim.batch` injection fails a
+    /// non-empty batch with the [`TaskPanic`] a dying worker would leave;
+    /// its hit counter advances once per non-empty batch, so the failure
+    /// lands on the same batch at any thread count.
+    fn classify_batch(
         &mut self,
-        jobs: &[(&BitVec, Fault)],
-        baseline: &BitVec,
-    ) -> Result<Vec<BitVec>, TaskPanic> {
-        // The injection decision is taken here on the caller side, so the
-        // sequential hit counter advances identically at any thread count;
-        // the parallel path then realizes it as a genuine worker panic.
-        let boom = !jobs.is_empty() && inject::fire("stitch.sim.batch");
-        if self.pool.threads() <= 1 {
-            if boom {
-                return Err(TaskPanic {
-                    index: 0,
-                    message: inject::panic_message("stitch.sim.batch"),
-                });
-            }
-            let slots: Vec<SlotSpec<'_>> = jobs
-                .iter()
-                .map(|&(stim, f)| SlotSpec {
-                    stimulus: stim,
-                    fault: Some(f),
-                })
-                .collect();
-            match self.session.run_jobs(&slots) {
-                Ok(outs) => Ok(outs),
-                Err(_) => unreachable!("engine stimuli always match the scan view"),
-            }
-        } else {
-            batch_outputs(
-                &self.pool,
-                self.eng.netlist,
-                &self.eng.view,
-                baseline,
-                jobs,
-                boom,
-            )
+        vector: &BitVec,
+        machines: &[Machine<'_>],
+    ) -> Result<Vec<Option<BitVec>>, TaskPanic> {
+        if !machines.is_empty() && inject::fire("stitch.sim.batch") {
+            return Err(TaskPanic {
+                index: 0,
+                message: inject::panic_message("stitch.sim.batch"),
+            });
+        }
+        match self.session.run_machines(vector, machines) {
+            Ok(outs) => Ok(outs),
+            Err(_) => unreachable!("engine stimuli and overrides always match the scan view"),
         }
     }
 
     /// Applies one vector: shifts, simulates, classifies every live fault.
     ///
-    /// On a worker panic the cycle is not recorded; the hidden-set updates
-    /// made before the failed batch stand. That partial effect is
-    /// deterministic (the surviving state is a pure function of the inputs
-    /// and the panic index, which is thread-count independent) and the
-    /// salvaged program stays valid — it merely under-reports the final
-    /// cycle's catches.
+    /// On an injected batch failure the cycle is not recorded; the
+    /// hidden-set updates made before the failed batch stand. That partial
+    /// effect is deterministic (the surviving state is a pure function of
+    /// the inputs and the injection's hit count, which is thread-count
+    /// independent) and the salvaged program stays valid — it merely
+    /// under-reports the final cycle's catches.
     pub(crate) fn apply_cycle(
         &mut self,
         k: usize,
@@ -101,9 +79,10 @@ impl RunState<'_, '_> {
 
         let mut newly_caught = 0usize;
 
-        // Hidden faults: private shift, private stimulus.
+        // Hidden faults: private shift, private stimulus — the vector with
+        // the chain bits where the fault's image differs overridden.
         let hidden = self.sets.hidden_indices();
-        let mut live_hidden: Vec<(usize, BitVec)> = Vec::new();
+        let mut live_hidden: Vec<(usize, Vec<(usize, bool)>)> = Vec::new();
         for idx in hidden {
             if first {
                 unreachable!("no hidden faults before the first vector");
@@ -125,21 +104,31 @@ impl RunState<'_, '_> {
                 self.sets.set_caught(idx);
                 newly_caught += 1;
             } else {
-                let mut stim = vector.slice(0..p);
-                stim.extend(sh.new_image.iter());
-                live_hidden.push((idx, stim));
+                let overrides = hidden_overrides(&self.good_image, &image, p, k);
+                debug_assert_eq!(
+                    overridden(&chain_tv, &overrides, p),
+                    sh.new_image,
+                    "the overrides must rebuild the shifted image"
+                );
+                live_hidden.push((idx, overrides));
             }
         }
-        let hidden_jobs: Vec<(&BitVec, Fault)> = live_hidden
+        let machines: Vec<Machine<'_>> = live_hidden
             .iter()
-            .map(|(idx, stim)| (stim, self.sets.fault(*idx)))
+            .map(|(idx, overrides)| Machine {
+                overrides,
+                fault: self.sets.fault(*idx),
+            })
             .collect();
-        self.budget.charge(hidden_jobs.len() as u64);
-        let outs = self.batch(&hidden_jobs, vector)?;
-        for ((idx, stim), out) in live_hidden.iter().zip(&outs) {
+        self.budget.charge(machines.len() as u64);
+        let outs = self.classify_batch(vector, &machines)?;
+        for ((idx, overrides), out) in live_hidden.iter().zip(&outs) {
+            // Equal outputs still leave a different image under vertical
+            // XOR, which captures the overridden chain bits.
+            let out = out.as_ref().unwrap_or(&good_out);
             let f_po = out.slice(0..q);
             let f_resp = out.slice(q..q + l);
-            let f_chain_tv = stim.slice(p..p + l);
+            let f_chain_tv = overridden(&chain_tv, overrides, p);
             let image = self.cfg.capture.capture(&f_chain_tv, &f_resp);
             match Classification::classify(&good_po, &f_po, &new_good_image, &image) {
                 Classification::Caught => {
@@ -154,13 +143,17 @@ impl RunState<'_, '_> {
         // Uncaught faults: shared stimulus (their machines match the good
         // one so far).
         let uncaught = self.sets.uncaught_indices();
-        let uncaught_jobs: Vec<(&BitVec, Fault)> = uncaught
+        let machines: Vec<Machine<'_>> = uncaught
             .iter()
-            .map(|&idx| (vector, self.sets.fault(idx)))
+            .map(|&idx| Machine::fault(self.sets.fault(idx)))
             .collect();
-        self.budget.charge(uncaught_jobs.len() as u64 + 1);
-        let outs = self.batch(&uncaught_jobs, vector)?;
+        self.budget.charge(machines.len() as u64 + 1);
+        let outs = self.classify_batch(vector, &machines)?;
         for (&idx, out) in uncaught.iter().zip(&outs) {
+            // Outputs equal to the good machine's leave the fault uncaught.
+            let Some(out) = out else {
+                continue;
+            };
             let f_po = out.slice(0..q);
             let f_resp = out.slice(q..q + l);
             let image = self.cfg.capture.capture(&chain_tv, &f_resp);
@@ -193,44 +186,12 @@ impl RunState<'_, '_> {
     }
 }
 
-/// Simulates `(stimulus, fault)` jobs in 64-slot batches fanned out over
-/// the pool, returning the faulty outputs in job order. Every batch builds
-/// its own session seeded with the cycle's `baseline` vector, so each sweep
-/// is incremental yet outputs stay independent of batching and thread
-/// count. With `boom` set (an armed `stitch.sim.batch` injection), the
-/// first chunk's worker panics; the captured [`TaskPanic`] then matches the
-/// sequential path's bit for bit.
-fn batch_outputs(
-    pool: &ThreadPool,
-    netlist: &Netlist,
-    view: &ScanView,
-    baseline: &BitVec,
-    jobs: &[(&BitVec, Fault)],
-    boom: bool,
-) -> Result<Vec<BitVec>, TaskPanic> {
-    let chunks: Vec<&[(&BitVec, Fault)]> = jobs.chunks(64).collect();
-    Ok(pool
-        .try_map(&chunks, |i, chunk| {
-            if boom && i == 0 {
-                inject::panic_now("stitch.sim.batch");
-            }
-            let mut session = SimSession::new(netlist, view);
-            let slots: Vec<SlotSpec<'_>> = chunk
-                .iter()
-                .map(|&(stim, f)| SlotSpec {
-                    stimulus: stim,
-                    fault: Some(f),
-                })
-                .collect();
-            match session
-                .baseline(baseline)
-                .and_then(|_| session.run_slots(&slots))
-            {
-                Ok(outs) => outs,
-                Err(_) => unreachable!("engine stimuli always match the scan view"),
-            }
-        })?
-        .into_iter()
-        .flatten()
-        .collect())
+/// The chain part of a vector with input overrides applied (input `p + j`
+/// is chain cell `j`).
+fn overridden(chain_tv: &BitVec, overrides: &[(usize, bool)], p: usize) -> BitVec {
+    let mut chain = chain_tv.clone();
+    for &(i, bit) in overrides {
+        chain.set(i - p, bit);
+    }
+    chain
 }

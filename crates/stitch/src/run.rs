@@ -274,16 +274,12 @@ impl StitchEngine<'_> {
         // selection machinery (constraint-free). Skipped on resume — the
         // snapshot already contains it.
         if run.cycles.is_empty() && run.sets.uncaught_count() > 0 && !run.budget.exhausted() {
-            match run.select_vector(l, true) {
-                Ok(Some(vector)) => {
-                    if let Err(panic) = run.apply_cycle(l, &vector, true) {
-                        run.stop = Some(StopCause::Worker(panic));
-                    } else {
-                        run.report_progress(&mut opts.on_progress);
-                    }
+            if let Some(vector) = run.select_vector(l, true) {
+                if let Err(panic) = run.apply_cycle(l, &vector, true) {
+                    run.stop = Some(StopCause::Worker(panic));
+                } else {
+                    run.report_progress(&mut opts.on_progress);
                 }
-                Ok(None) => {}
-                Err(panic) => run.stop = Some(StopCause::Worker(panic)),
             }
         }
 
@@ -327,7 +323,7 @@ impl StitchEngine<'_> {
             }
             let k = run.k;
             match run.select_vector(k, false) {
-                Ok(Some(vector)) => {
+                Some(vector) => {
                     if let Err(panic) = run.apply_cycle(k, &vector, false) {
                         run.stop = Some(StopCause::Worker(panic));
                         break;
@@ -349,11 +345,7 @@ impl StitchEngine<'_> {
                         }
                     }
                 }
-                Ok(None) => run.select_failed = true,
-                Err(panic) => {
-                    run.stop = Some(StopCause::Worker(panic));
-                    break;
-                }
+                None => run.select_failed = true,
             }
         }
 

@@ -37,7 +37,7 @@ use tvs_exec::Budget;
 use tvs_logic::{BitVec, Prng};
 use tvs_netlist::{Netlist, ScanView};
 
-use tvs_fault::{Fault, FaultSim, Scoap, SimSession, SlotSpec};
+use tvs_fault::{Fault, Machine, Scoap, SimSession};
 
 use crate::policy::Ratio;
 use crate::{FaultSets, ShiftPolicy};
@@ -378,7 +378,7 @@ impl SchemeSearch {
         ctx: &mut StrategyCtx<'_>,
         probes: &[BitVec],
         sample: &[Fault],
-        goods: &[BitVec],
+        session: &mut SimSession<'_>,
         memo: &mut Memo,
         allowance: u64,
     ) -> u128 {
@@ -395,7 +395,7 @@ impl SchemeSearch {
         if ctx.budget.spent() >= allowance {
             return 0;
         }
-        let f = Self::fitness(&policy, ctx, probes, sample, goods);
+        let f = Self::fitness(&policy, ctx, probes, sample, session);
         memo.push((key, f));
         f
     }
@@ -443,48 +443,38 @@ impl SchemeSearch {
         ctx: &mut StrategyCtx<'_>,
         probes: &[BitVec],
         sample: &[Fault],
-        goods: &[BitVec],
+        session: &mut SimSession<'_>,
     ) -> u128 {
         let l = ctx.scan_len;
         let k0 = policy.initial(l);
         let cap = policy.cap(l);
-        Self::window_score(k0, ctx, probes, sample, goods) * 2
-            + Self::window_score(cap, ctx, probes, sample, goods)
+        Self::window_score(k0, ctx, probes, sample, session) * 2
+            + Self::window_score(cap, ctx, probes, sample, session)
     }
 
+    /// Counts the (probe, fault) pairs that differ at a PO or in the
+    /// `k`-bit response window, with the probes packed as the session's
+    /// baseline: one pattern-parallel sweep per sampled fault.
     fn window_score(
         k: usize,
         ctx: &mut StrategyCtx<'_>,
         probes: &[BitVec],
         sample: &[Fault],
-        goods: &[BitVec],
+        session: &mut SimSession<'_>,
     ) -> u128 {
         let (q, l) = (ctx.view.po_count(), ctx.scan_len);
         let p = ctx.view.pi_count();
-        let watched: Vec<usize> = (0..q).chain(q + l.saturating_sub(k)..q + l).collect();
-        let mut fsim = FaultSim::new(ctx.netlist, ctx.view);
-        let mut caught = 0u128;
-        for (probe, good) in probes.iter().zip(goods) {
-            ctx.budget.charge(sample.len() as u64);
-            for chunk in sample.chunks(63) {
-                let slots: Vec<SlotSpec<'_>> = chunk
-                    .iter()
-                    .map(|&f| SlotSpec {
-                        stimulus: probe,
-                        fault: Some(f),
-                    })
-                    .collect();
-                let outs = match fsim.run_slots(&slots) {
-                    Ok(outs) => outs,
-                    Err(_) => unreachable!("63 view-width slots per sweep"),
-                };
-                for out in &outs {
-                    if watched.iter().any(|&o| out.get(o) != good.get(o)) {
-                        caught += 1;
-                    }
-                }
-            }
-        }
+        let mut watched = vec![true; q + l];
+        watched[q..q + l.saturating_sub(k)].fill(false);
+        ctx.budget.charge((probes.len() * sample.len()) as u64);
+        let machines: Vec<Machine<'_>> = sample.iter().map(|&f| Machine::fault(f)).collect();
+        let caught: u128 = match session.detect_machines(probes, &machines, &watched) {
+            Ok(dets) => dets
+                .iter()
+                .map(|d| u128::from(d.watched.count_ones()))
+                .sum(),
+            Err(_) => unreachable!("SCHEME_VECTORS view-width probes"),
+        };
         // Catches per stitched-cycle memory cost (2k + p + q bits), scaled
         // to keep everything in integers.
         caught * 1_000_000 / (2 * k + p + q).max(1) as u128
@@ -521,10 +511,7 @@ impl Strategy for SchemeSearch {
                     .collect()
             })
             .collect();
-        let goods: Vec<BitVec> = {
-            let mut fsim = FaultSim::new(ctx.netlist, ctx.view);
-            probes.iter().map(|p| fsim.good_outputs(p)).collect()
-        };
+        let mut session = SimSession::new(ctx.netlist, ctx.view);
 
         // Initial population: the configured default schedule plus mutants.
         let seed_genome: Genome = match *ctx.policy {
@@ -560,7 +547,8 @@ impl Strategy for SchemeSearch {
         for _ in 0..SCHEME_GENS {
             let mut scored: Vec<(u128, Genome)> = Vec::with_capacity(population.len());
             for g in &population {
-                let f = Self::evaluate(g, ctx, &probes, &sample, &goods, &mut memo, allowance);
+                let f =
+                    Self::evaluate(g, ctx, &probes, &sample, &mut session, &mut memo, allowance);
                 scored.push((f, *g));
             }
             // Fittest first; ties break on the genome itself so survivor
@@ -582,13 +570,13 @@ impl Strategy for SchemeSearch {
             ctx,
             &probes,
             &sample,
-            &goods,
+            &mut session,
             &mut memo,
             allowance,
         );
         let mut best = (first, population[0]);
         for g in &population[1..] {
-            let f = Self::evaluate(g, ctx, &probes, &sample, &goods, &mut memo, allowance);
+            let f = Self::evaluate(g, ctx, &probes, &sample, &mut session, &mut memo, allowance);
             if f > best.0 || (f == best.0 && *g < best.1) {
                 best = (f, *g);
             }

@@ -1,13 +1,10 @@
 //! The selection stage of the cycle pipeline: constraint-cube construction,
 //! target ordering, candidate generation and greedy scoring.
 
-use tvs_exec::TaskPanic;
 use tvs_logic::{BitVec, Cube, Logic};
-use tvs_netlist::{Netlist, ScanView};
 
 use tvs_atpg::PodemResult;
-use tvs_fault::{Fault, FaultSim, Scoap, SlotSpec};
-use tvs_scan::{ObserveTransform, ScanChain};
+use tvs_fault::{Fault, Machine, SimSession};
 
 use crate::state::RunState;
 
@@ -51,11 +48,7 @@ impl RunState<'_, '_> {
 
     /// Tries to produce the next vector for a `k`-bit cycle; `None` when
     /// the shift size is exhausted.
-    pub(crate) fn select_vector(
-        &mut self,
-        k: usize,
-        first: bool,
-    ) -> Result<Option<BitVec>, TaskPanic> {
+    pub(crate) fn select_vector(&mut self, k: usize, first: bool) -> Option<BitVec> {
         let constraint = self.constraint(k, first);
         let observable = self.observable_flags(if first { self.l() } else { k });
         let targets = self.ordered_targets();
@@ -92,7 +85,7 @@ impl RunState<'_, '_> {
                         stats[phase * 2] += 1;
                         let bits = cube.random_fill(&mut self.rng);
                         if !self.cfg.strategy.resolve().is_greedy() {
-                            return Ok(Some(bits));
+                            return Some(bits);
                         }
                         candidates.push(bits);
                         if candidates.len() >= self.cfg.candidates {
@@ -136,16 +129,13 @@ impl RunState<'_, '_> {
                 let bits = constraint.random_fill(&mut self.rng);
                 self.budget.charge(faults.len() as u64);
                 if self.detect(&bits, &faults).iter().any(|&h| h) {
-                    return Ok(Some(bits));
+                    return Some(bits);
                 }
             }
         }
 
-        if candidates.is_empty() {
-            return Ok(None);
-        }
-        if candidates.len() == 1 {
-            return Ok(candidates.pop());
+        if candidates.len() <= 1 {
+            return candidates.pop();
         }
 
         // Greedy scoring. Three kinds of value, in decreasing weight:
@@ -154,42 +144,45 @@ impl RunState<'_, '_> {
         // erased hidden fault wastes its earlier differentiation — the
         // paper's §6.2 concern), and plain differentiations as tiebreak.
         //
-        // Each candidate's score is a pure function of the candidate bits
-        // and the (frozen) fault/hidden state, so the candidates fan out
-        // over the pool; the strict first-best argmax below runs over the
-        // input-ordered score vector, keeping the pick bit-identical at any
-        // thread count.
+        // Every candidate meets the same constraint, so each hidden fault's
+        // next stimulus is the candidate with one candidate-independent set
+        // of chain bits overridden (`hidden_overrides`): all candidates are
+        // scored in one pattern-parallel pass, one sweep per machine.
         let uncaught = self.sets.uncaught_indices();
-        let faults: Vec<Fault> = uncaught.iter().map(|&i| self.sets.fault(i)).collect();
         let weighted = self.cfg.strategy.resolve().weighted_scoring();
-        let (p, q, l) = (self.p(), self.q(), self.l());
-        let watched: Vec<usize> = (0..q).chain(q + l.saturating_sub(k)..q + l).collect();
-        // Hidden machines: image and fault per hidden index. The shift-out
-        // stream is candidate-independent; only the post-capture fate
-        // varies, via the fresh incoming bits.
-        let hidden: Vec<(Fault, BitVec)> = self
+        let netlist = self.eng.netlist;
+        let uncaught_faults: Vec<(Fault, u64)> = uncaught
+            .iter()
+            .map(|&i| {
+                let f = self.sets.fault(i);
+                let unit = if weighted {
+                    self.scoap.fault_hardness(netlist, &f).max(1)
+                } else {
+                    1
+                };
+                (f, unit)
+            })
+            .collect();
+        let hidden: Vec<(Fault, Vec<(usize, bool)>)> = self
             .sets
             .hidden_faults()
             .into_iter()
-            .map(|h| (h.fault, h.image))
+            .map(|h| {
+                (
+                    h.fault,
+                    hidden_overrides(&self.good_image, &h.image, self.p(), k),
+                )
+            })
             .collect();
-        let ctx = ScoreCtx {
-            netlist: self.eng.netlist,
-            view: &self.eng.view,
-            chain: &self.eng.chain,
-            scoap: &self.scoap,
-            observe: self.cfg.observe,
-            faults: &faults,
-            hidden: &hidden,
-            watched: &watched,
-            weighted,
-            p,
-            l,
-            k,
-        };
         self.budget
-            .charge((candidates.len() * (faults.len() + hidden.len() + 1)) as u64);
-        let scores = self.pool.try_map(&candidates, |_, bits| ctx.score(bits))?;
+            .charge((candidates.len() * (uncaught_faults.len() + hidden.len() + 1)) as u64);
+        let scores = greedy_scores(
+            &mut self.session,
+            &candidates,
+            &uncaught_faults,
+            &hidden,
+            &observable,
+        );
         let mut best = 0usize;
         let mut best_score = 0u64;
         for (c, &score) in scores.iter().enumerate() {
@@ -198,96 +191,277 @@ impl RunState<'_, '_> {
                 best = c;
             }
         }
-        Ok(Some(candidates.swap_remove(best)))
+        Some(candidates.swap_remove(best))
     }
 }
 
-/// Frozen inputs of one candidate-scoring round. [`ScoreCtx::score`] is a
-/// pure function of this context plus the candidate bits (each invocation
-/// builds its own session-backed simulator, seeded once with the candidate's
-/// good machine so every fault sweep is incremental), which is what lets
-/// `select_vector` fan the candidates out over the thread pool.
-struct ScoreCtx<'c> {
-    netlist: &'c Netlist,
-    view: &'c ScanView,
-    chain: &'c ScanChain,
-    scoap: &'c Scoap,
-    observe: ObserveTransform,
-    faults: &'c [Fault],
-    hidden: &'c [(Fault, BitVec)],
-    watched: &'c [usize],
-    weighted: bool,
+/// The input bits where a hidden fault's next stimulus differs from a
+/// `k`-bit stitched vector (DESIGN.md §11.6), as `(input, value)`
+/// overrides.
+///
+/// Every such vector pins chain bits `k..L` to `good_image[0..L-k]`
+/// ([`RunState::constraint`]), and the shift moves the fault's private
+/// `image[j]` to cell `j + k`. So the fault's stimulus is the vector with
+/// input `p + k + j` set to `image[j]` wherever `image[j]` differs from
+/// `good_image[j]`, whatever the vector's free bits are.
+pub(crate) fn hidden_overrides(
+    good_image: &BitVec,
+    image: &BitVec,
     p: usize,
-    l: usize,
     k: usize,
+) -> Vec<(usize, bool)> {
+    (0..image.len().saturating_sub(k))
+        .filter(|&j| image.get(j) != good_image.get(j))
+        .map(|j| (p + k + j, image.get(j)))
+        .collect()
 }
 
-impl ScoreCtx<'_> {
-    fn score(&self, bits: &BitVec) -> u64 {
-        let mut fsim = FaultSim::new(self.netlist, self.view);
-        let good = fsim.good_outputs(bits);
-        let mut score = 0u64;
-        for chunk in self.faults.chunks(63) {
-            let slots: Vec<SlotSpec<'_>> = chunk
-                .iter()
-                .map(|&f| SlotSpec {
-                    stimulus: bits,
-                    fault: Some(f),
-                })
-                .collect();
-            let outs = match fsim.run_slots(&slots) {
-                Ok(outs) => outs,
-                Err(_) => unreachable!("63 view-width slots per sweep"),
-            };
-            for (f, out) in chunk.iter().zip(&outs) {
-                let caught = self.watched.iter().any(|&o| out.get(o) != good.get(o));
-                let differentiated = caught || out != &good;
-                let unit = if self.weighted {
-                    self.scoap.fault_hardness(self.netlist, f).max(1)
+/// Greedy scores of `candidates`, in candidate order, from one
+/// pattern-parallel pass per 64 candidates.
+///
+/// An uncaught fault `(fault, unit)` adds `1000 · unit` to each candidate
+/// under which it differs from the good machine at a `watched` output, or
+/// `unit` if it differs only elsewhere. A hidden fault, simulated under its
+/// overrides, adds 1000 or 30 the same way.
+fn greedy_scores(
+    session: &mut SimSession<'_>,
+    candidates: &[BitVec],
+    uncaught: &[(Fault, u64)],
+    hidden: &[(Fault, Vec<(usize, bool)>)],
+    watched: &[bool],
+) -> Vec<u64> {
+    let machines: Vec<Machine<'_>> = uncaught
+        .iter()
+        .map(|&(fault, _)| Machine::fault(fault))
+        .chain(hidden.iter().map(|(fault, overrides)| Machine {
+            overrides,
+            fault: *fault,
+        }))
+        .collect();
+    let weights: Vec<(u64, u64)> = uncaught
+        .iter()
+        .map(|&(_, unit)| (unit * 1000, unit))
+        .chain(hidden.iter().map(|_| (1000, 30)))
+        .collect();
+    let mut scores = Vec::with_capacity(candidates.len());
+    for chunk in candidates.chunks(64) {
+        let dets = match session.detect_machines(chunk, &machines, watched) {
+            Ok(dets) => dets,
+            Err(_) => unreachable!("at most 64 view-width candidates per pass"),
+        };
+        let mut chunk_scores = vec![0u64; chunk.len()];
+        for (det, &(caught, differentiated)) in dets.iter().zip(&weights) {
+            let mut any = det.any;
+            while any != 0 {
+                let c = any.trailing_zeros();
+                any &= any - 1;
+                chunk_scores[c as usize] += if (det.watched >> c) & 1 == 1 {
+                    caught
                 } else {
-                    1
+                    differentiated
                 };
-                if caught {
-                    score += unit * 1000;
-                } else if differentiated {
-                    score += unit;
-                }
             }
         }
-        if !self.hidden.is_empty() {
-            let chain_tv = bits.slice(self.p..self.p + self.l);
-            let incoming = chain_tv.rev_slice(0..self.k);
-            let mut stimuli: Vec<BitVec> = Vec::with_capacity(self.hidden.len());
-            for (_, image) in self.hidden {
-                let sh = self.chain.shift(image, &incoming, self.observe);
-                let mut stim = bits.slice(0..self.p);
-                stim.extend(sh.new_image.iter());
-                stimuli.push(stim);
-            }
-            for (chunk_i, chunk) in self.hidden.chunks(63).enumerate() {
-                let slots: Vec<SlotSpec<'_>> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &(fault, _))| SlotSpec {
-                        stimulus: &stimuli[chunk_i * 63 + j],
-                        fault: Some(fault),
-                    })
-                    .collect();
-                let outs = match fsim.run_slots(&slots) {
-                    Ok(outs) => outs,
-                    Err(_) => unreachable!("63 view-width slots per sweep"),
-                };
-                for out in &outs {
-                    let caught = self.watched.iter().any(|&o| out.get(o) != good.get(o));
-                    let kept = out != &good;
-                    if caught {
-                        score += 1000;
-                    } else if kept {
-                        score += 30;
+        scores.extend(chunk_scores);
+    }
+    scores
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tvs_fault::{FaultList, FaultSim, SlotSpec};
+    use tvs_logic::Prng;
+    use tvs_netlist::{Netlist, ScanView};
+    use tvs_scan::{CaptureTransform, ObserveTransform, ScanChain};
+
+    fn random_bits(rng: &mut Prng, len: usize) -> BitVec {
+        (0..len).map(|_| rng.next_bool()).collect()
+    }
+
+    /// `image` with each bit flipped at probability 1/4, so images share
+    /// most of their bits with the good one, as hidden images do.
+    fn near(rng: &mut Prng, image: &BitVec) -> BitVec {
+        image
+            .iter()
+            .map(|b| b ^ (rng.gen_range(0..4) == 0))
+            .collect()
+    }
+
+    /// A `k`-bit stitched vector: random, with chain bits `k..L` pinned to
+    /// `good_image[0..L-k]` as the constraint cube pins them.
+    fn stitched(rng: &mut Prng, good_image: &BitVec, p: usize, k: usize) -> BitVec {
+        let l = good_image.len();
+        let mut v = random_bits(rng, p + l);
+        for j in 0..l - k {
+            v.set(p + k + j, good_image.get(j));
+        }
+        v
+    }
+
+    fn apply(vector: &BitVec, overrides: &[(usize, bool)]) -> BitVec {
+        let mut v = vector.clone();
+        for &(i, b) in overrides {
+            v.set(i, b);
+        }
+        v
+    }
+
+    #[test]
+    fn override_identity_matches_the_shifted_stimulus() {
+        let mut rng = Prng::seed_from_u64(0x0E11);
+        let observes = [ObserveTransform::Direct, ObserveTransform::HorizontalXor(3)];
+        let captures = [CaptureTransform::Plain, CaptureTransform::VerticalXor];
+        for _ in 0..48 {
+            let (p, l) = (rng.gen_range(0..5), rng.gen_range(1..24));
+            let chain = ScanChain::new(l);
+            let good_image = random_bits(&mut rng, l);
+            let image = near(&mut rng, &good_image);
+            let resp = random_bits(&mut rng, l);
+            for k in 1..=l {
+                let vector = stitched(&mut rng, &good_image, p, k);
+                let chain_tv = vector.slice(p..p + l);
+                let incoming = chain_tv.rev_slice(0..k);
+                let stim = apply(&vector, &hidden_overrides(&good_image, &image, p, k));
+                for observe in observes {
+                    let good = chain.shift(&good_image, &incoming, observe);
+                    assert_eq!(good.new_image, chain_tv, "the vector is reachable");
+                    let sh = chain.shift(&image, &incoming, observe);
+                    let mut expect = vector.slice(0..p);
+                    expect.extend(sh.new_image.iter());
+                    assert_eq!(stim, expect, "p={p} l={l} k={k} {observe:?}");
+                    for capture in captures {
+                        assert_eq!(
+                            capture.capture(&stim.slice(p..p + l), &resp),
+                            capture.capture(&sh.new_image, &resp),
+                        );
                     }
                 }
             }
         }
+    }
+
+    /// The per-candidate scoring the pattern-parallel pass replaced, kept
+    /// as its oracle: a fresh simulator per candidate, every hidden
+    /// stimulus built by shifting the fault's image, outputs compared
+    /// bit by bit.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_score(
+        netlist: &Netlist,
+        view: &ScanView,
+        bits: &BitVec,
+        uncaught: &[(Fault, u64)],
+        hidden: &[(Fault, BitVec)],
+        watched: &[usize],
+        p: usize,
+        k: usize,
+    ) -> u64 {
+        let l = view.ppi_count();
+        let chain = ScanChain::new(l);
+        let mut fsim = FaultSim::new(netlist, view);
+        let good = fsim.good_outputs(bits);
+        let mut score = 0u64;
+        for chunk in uncaught.chunks(63) {
+            let slots: Vec<SlotSpec<'_>> = chunk
+                .iter()
+                .map(|&(f, _)| SlotSpec {
+                    stimulus: bits,
+                    fault: Some(f),
+                })
+                .collect();
+            let outs = fsim.run_slots(&slots).expect("63 view-width slots");
+            for (&(_, unit), out) in chunk.iter().zip(&outs) {
+                let caught = watched.iter().any(|&o| out.get(o) != good.get(o));
+                if caught {
+                    score += unit * 1000;
+                } else if out != &good {
+                    score += unit;
+                }
+            }
+        }
+        let incoming = bits.slice(p..p + l).rev_slice(0..k);
+        let stimuli: Vec<BitVec> = hidden
+            .iter()
+            .map(|(_, image)| {
+                let sh = chain.shift(image, &incoming, ObserveTransform::Direct);
+                let mut stim = bits.slice(0..p);
+                stim.extend(sh.new_image.iter());
+                stim
+            })
+            .collect();
+        for (chunk_i, chunk) in hidden.chunks(63).enumerate() {
+            let slots: Vec<SlotSpec<'_>> = chunk
+                .iter()
+                .enumerate()
+                .map(|(j, &(fault, _))| SlotSpec {
+                    stimulus: &stimuli[chunk_i * 63 + j],
+                    fault: Some(fault),
+                })
+                .collect();
+            let outs = fsim.run_slots(&slots).expect("63 view-width slots");
+            for out in &outs {
+                if watched.iter().any(|&o| out.get(o) != good.get(o)) {
+                    score += 1000;
+                } else if out != &good {
+                    score += 30;
+                }
+            }
+        }
         score
+    }
+
+    #[test]
+    fn greedy_scores_match_the_per_candidate_oracle() {
+        let mut rng = Prng::seed_from_u64(0x6EED);
+        for name in ["s444", "s953"] {
+            let netlist = tvs_circuits::profile(name).expect("profile").build();
+            let view = netlist.scan_view().expect("scan view");
+            let faults = FaultList::collapsed(&netlist);
+            let (p, q, l) = (view.pi_count(), view.po_count(), view.ppi_count());
+            let mut session = SimSession::new(&netlist, &view);
+            for (round, n) in [1usize, 2, 9, 64, 70].into_iter().enumerate() {
+                let k = 1 + rng.gen_range(0..l);
+                let good_image = random_bits(&mut rng, l);
+                let candidates: Vec<BitVec> = (0..n)
+                    .map(|_| stitched(&mut rng, &good_image, p, k))
+                    .collect();
+                let pick = |rng: &mut Prng| -> Vec<Fault> {
+                    faults
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.gen_range(0..3) == 0)
+                        .collect()
+                };
+                let uncaught: Vec<(Fault, u64)> = pick(&mut rng)
+                    .into_iter()
+                    .map(|f| (f, 1 + rng.gen_range(0..5) as u64))
+                    .collect();
+                let hidden: Vec<(Fault, BitVec)> = pick(&mut rng)
+                    .into_iter()
+                    .map(|f| (f, near(&mut rng, &good_image)))
+                    .collect();
+                let watched_at: Vec<usize> = (0..q).chain(q + l - k..q + l).collect();
+                let mut watched = vec![false; q + l];
+                for &o in &watched_at {
+                    watched[o] = true;
+                }
+                let overrides: Vec<(Fault, Vec<(usize, bool)>)> = hidden
+                    .iter()
+                    .map(|(f, image)| (*f, hidden_overrides(&good_image, image, p, k)))
+                    .collect();
+                let got = greedy_scores(&mut session, &candidates, &uncaught, &overrides, &watched);
+                let want: Vec<u64> = candidates
+                    .iter()
+                    .map(|c| {
+                        oracle_score(&netlist, &view, c, &uncaught, &hidden, &watched_at, p, k)
+                    })
+                    .collect();
+                assert_eq!(got, want, "{name} round {round}: {n} candidates, k={k}");
+                assert!(
+                    want.iter().any(|&s| s > 0),
+                    "{name} round {round} scores nothing"
+                );
+            }
+        }
     }
 }
