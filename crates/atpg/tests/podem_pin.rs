@@ -9,17 +9,23 @@
 //! * `deep` — unconstrained at 8× the limit (the redundancy prescreen);
 //! * `pinned` — a seeded PPI constraint with a phase-A observable mask,
 //!   shaped like a stitched cycle: cells `k..l` pinned to random bits, every
-//!   PO plus the last `k` cells observable.
+//!   PO plus the last `k` cells observable;
+//! * `cycle` — the call sequence of stitched cycles: one seeded constraint
+//!   and phase-A mask shared by a run of consecutive faults, then a switch
+//!   to a fresh one, with phase-B calls (same constraint, every output
+//!   observable) and free calls interleaved. One prover serves the whole
+//!   sequence, so state carried from call to call is pinned too.
 //!
-//! The digests were captured on the solver before its cone-bounded step
-//! (DESIGN.md §11.4). Debug builds run the four smallest Table 2 circuits;
+//! The `free`, `deep` and `pinned` digests were captured on the solver
+//! before its cone-bounded step (DESIGN.md §11.4), the `cycle` digests on
+//! the solver before its region-confined opening (DESIGN.md §11.7). Debug builds run the four smallest Table 2 circuits;
 //! release builds add s1196, s1423, s5378 and s9234; `TVS_PIN_FULL=1` adds
 //! s13207 and s15850.
 
 use tvs_atpg::{Podem, PodemConfig, PodemResult};
 use tvs_fault::FaultList;
 use tvs_logic::{Cube, Logic, Prng};
-use tvs_netlist::Netlist;
+use tvs_netlist::{Netlist, ScanView};
 
 /// (circuit, mode, FNV-1a-64 over every fault's `(verdict, backtracks)`).
 const PINS: &[(&str, &str, u64)] = &[
@@ -53,6 +59,16 @@ const PINS: &[(&str, &str, u64)] = &[
     ("s9234", "pinned", 0x0533d168fffc2631),
     ("s13207", "pinned", 0x7ac727f07fff41fa),
     ("s15850", "pinned", 0xaf6d1cbe8c2ae628),
+    ("s444", "cycle", 0xeb8417a2d93c8773),
+    ("s526", "cycle", 0x25351e36a41a4828),
+    ("s641", "cycle", 0xbc1684f095a31557),
+    ("s953", "cycle", 0xc2bab797526373e5),
+    ("s1196", "cycle", 0xbfeffc12f5b8bea8),
+    ("s1423", "cycle", 0xdaa1e2e7af87df72),
+    ("s5378", "cycle", 0xa0578bccf2aa43a7),
+    ("s9234", "cycle", 0x4252bb69764f20ed),
+    ("s13207", "cycle", 0x73944fbf9906aae6),
+    ("s15850", "cycle", 0x495b7446d9e1b17f),
 ];
 
 /// Seed of the pinned mode's constraint draws.
@@ -91,6 +107,21 @@ impl Fnv {
     }
 }
 
+/// A stitched-cycle-shaped draw: cells `k..l` pinned to random bits, and
+/// every PO plus the last `k` cells observable.
+fn cycle_constraint(view: &ScanView, rng: &mut Prng) -> (Cube, Vec<bool>) {
+    let (p, l, q) = (view.pi_count(), view.ppi_count(), view.po_count());
+    let k = 1 + rng.gen_range(0..l.max(1));
+    let mut constraint = Cube::unspecified(p + l);
+    for j in k.min(l)..l {
+        constraint.set(p + j, Logic::from(rng.next_bool()));
+    }
+    let mut observable = vec![false; view.output_count()];
+    observable[..q].fill(true);
+    observable[q + l.saturating_sub(k)..].fill(true);
+    (constraint, observable)
+}
+
 fn digest(netlist: &Netlist, mode: &str) -> u64 {
     let view = netlist.scan_view().expect("levelizable profile");
     let base = PodemConfig::default();
@@ -102,31 +133,42 @@ fn digest(netlist: &Netlist, mode: &str) -> u64 {
         _ => base,
     };
     let mut podem = Podem::with_config(netlist, &view, config);
-    let (p, l) = (view.pi_count(), view.ppi_count());
     let free = Cube::unspecified(view.input_count());
     let mut rng = Prng::seed_from_u64(PIN_SEED);
     let mut hash = Fnv::new();
+    // The cycle mode's shared draw and the faults left before it switches.
+    let (mut shared, mut run_left) = ((free.clone(), Vec::new()), 0usize);
     for &fault in FaultList::collapsed(netlist).faults() {
-        let result = if mode == "pinned" {
-            let k = 1 + rng.gen_range(0..l.max(1));
-            let mut constraint = Cube::unspecified(p + l);
-            for j in k.min(l)..l {
-                constraint.set(p + j, Logic::from(rng.next_bool()));
+        let mut results = Vec::new();
+        match mode {
+            "pinned" => {
+                let (constraint, observable) = cycle_constraint(&view, &mut rng);
+                results.push(podem.generate_observable(fault, &constraint, Some(&observable)));
             }
-            let mut observable = vec![false; view.output_count()];
-            let q = view.po_count();
-            observable[..q].fill(true);
-            observable[q + l.saturating_sub(k)..].fill(true);
-            podem.generate_observable(fault, &constraint, Some(&observable))
-        } else {
-            podem.generate(fault, &free)
-        };
-        let verdict = match &result {
-            PodemResult::Test(cube) => format!("T{cube}"),
-            PodemResult::Untestable => "U".to_owned(),
-            PodemResult::Aborted => "A".to_owned(),
-        };
-        hash.write(format!("{verdict}/{};", podem.last_backtracks()).as_bytes());
+            "cycle" => {
+                if run_left == 0 {
+                    shared = cycle_constraint(&view, &mut rng);
+                    run_left = 1 + rng.gen_range(0..24);
+                }
+                run_left -= 1;
+                let (constraint, observable) = &shared;
+                results.push(podem.generate_observable(fault, constraint, Some(observable)));
+                match rng.gen_range(0..8) {
+                    0 => results.push(podem.generate(fault, &free)),
+                    1 => results.push(podem.generate(fault, constraint)),
+                    _ => {}
+                }
+            }
+            _ => results.push(podem.generate(fault, &free)),
+        }
+        for result in results {
+            let verdict = match &result {
+                PodemResult::Test(cube) => format!("T{cube}"),
+                PodemResult::Untestable => "U".to_owned(),
+                PodemResult::Aborted => "A".to_owned(),
+            };
+            hash.write(format!("{verdict}/{};", podem.last_backtracks()).as_bytes());
+        }
     }
     hash.0
 }
@@ -169,4 +211,9 @@ fn deep_search_is_pinned() {
 #[test]
 fn pinned_search_is_pinned() {
     check("pinned");
+}
+
+#[test]
+fn cycle_sequence_is_pinned() {
+    check("cycle");
 }
