@@ -17,6 +17,7 @@ use tvs_logic::{Cube, Logic};
 use tvs_netlist::{GateId, GateKind, Netlist, ScanView};
 
 use tvs_fault::{Fault, Scoap};
+use tvs_sim::ThreeValSim;
 
 use crate::Verdicts;
 
@@ -120,6 +121,16 @@ pub struct Podem<'a> {
     config: PodemConfig,
     good: Vec<Logic>,
     faulty: Vec<Logic>,
+    /// The good plane implied by `base_cube` alone. Every call under that
+    /// constraint opens from it, with the faulty plane equal to it outside
+    /// the fault's cone (DESIGN.md §11.7).
+    base: ThreeValSim<'a>,
+    /// The constraint `base` was implied from (`None` before any call).
+    base_cube: Option<Cube>,
+    /// Gates whose planes differ from `base` since the last restore, each
+    /// listed once (`on_trail` marks them).
+    trail: Vec<GateId>,
+    on_trail: Vec<bool>,
     /// Gates reachable from the current fault site.
     cone: Vec<bool>,
     /// The combinational gates of the cone, in `view.order()` order: the
@@ -127,6 +138,15 @@ pub struct Podem<'a> {
     cone_gates: Vec<GateId>,
     /// Output indices whose driver lies in the cone.
     cone_outputs: Vec<usize>,
+    /// The fan-in closure of the cone and of the fault site's pins: every
+    /// gate the search reads, and the only gates events propagate to.
+    region: Vec<bool>,
+    /// The members of `region` (the cone first), so the next call clears
+    /// only them.
+    region_gates: Vec<GateId>,
+    /// Each combinational gate's position in `view.order()` (`u32::MAX`
+    /// for sources).
+    order_pos: Vec<u32>,
     /// Level-bucketed event queue.
     buckets: Vec<Vec<GateId>>,
     queued: Vec<bool>,
@@ -158,6 +178,10 @@ impl<'a> Podem<'a> {
     /// Creates a generator with an explicit configuration.
     pub fn with_config(netlist: &'a Netlist, view: &'a ScanView, config: PodemConfig) -> Self {
         let n = netlist.gate_count();
+        let mut order_pos = vec![u32::MAX; n];
+        for (k, g) in view.order().iter().enumerate() {
+            order_pos[g.index()] = k as u32;
+        }
         Podem {
             netlist,
             view,
@@ -165,9 +189,16 @@ impl<'a> Podem<'a> {
             config,
             good: vec![Logic::X; n],
             faulty: vec![Logic::X; n],
+            base: ThreeValSim::new(netlist, view),
+            base_cube: None,
+            trail: Vec::new(),
+            on_trail: vec![false; n],
             cone: vec![false; n],
             cone_gates: Vec::new(),
             cone_outputs: Vec::new(),
+            region: vec![false; n],
+            region_gates: Vec::new(),
+            order_pos,
             buckets: vec![Vec::new(); view.depth() as usize + 2],
             queued: vec![false; n],
             seen: vec![0; n],
@@ -256,17 +287,18 @@ impl<'a> Podem<'a> {
             self.last_backtracks = 0;
             return PodemResult::Aborted;
         }
-        self.reset(fault, observable);
-
-        // Pre-assign pinned bits. They only refine X, so setting them all
-        // and draining once reaches the state that propagating each in turn
-        // would (DESIGN.md §11.4).
-        for (i, v) in constraint.iter().enumerate() {
-            if let Some(bit) = v.to_bool() {
-                self.set_input(i, Logic::from(bit));
-            }
+        self.evals = 0;
+        if !self.open(fault, constraint, observable) {
+            // The search would stop at its first decision: one backtrack,
+            // then an empty decision stack (DESIGN.md §11.7).
+            self.last_backtracks = 1;
+            self.backtrack_counter.add(1);
+            return if self.config.backtrack_limit >= 1 {
+                PodemResult::Untestable
+            } else {
+                PodemResult::Aborted
+            };
         }
-        self.drain();
 
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks = 0u32;
@@ -324,22 +356,66 @@ impl<'a> Podem<'a> {
         self.fault.expect("a generate call is active")
     }
 
-    fn reset(&mut self, fault: Fault, observable: Option<&[bool]>) {
-        self.evals = 0;
-        self.good.fill(Logic::X);
-        self.faulty.fill(Logic::X);
+    /// Opens a call: both planes at the state the pins alone imply, over
+    /// the fault's region. `false` when the pins hold the fault site at its
+    /// stuck value, so no activation exists and nothing else is set up.
+    fn open(&mut self, fault: Fault, constraint: &Cube, observable: Option<&[bool]>) -> bool {
         self.fault = Some(fault);
+        self.rebase(constraint);
+        if self.site_value() == stuck_logic(fault) {
+            return false;
+        }
+        self.reset(fault, observable);
+        self.open_cone();
+        true
+    }
 
-        // Influence cone of the fault site.
-        let view = self.view;
-        self.cone.fill(false);
+    /// Returns both planes to the opening state under `constraint`: undoes
+    /// the previous call's writes, and re-implies the base plane only when
+    /// the constraint differs from the last one.
+    fn rebase(&mut self, constraint: &Cube) {
+        for g in self.trail.drain(..) {
+            let v = self.base.value(g);
+            self.good[g.index()] = v;
+            self.faulty[g.index()] = v;
+            self.on_trail[g.index()] = false;
+        }
+        if self.base_cube.as_ref() == Some(constraint) {
+            return;
+        }
+        self.base.run(constraint);
+        for g in self.netlist.gate_ids() {
+            let v = self.base.value(g);
+            self.good[g.index()] = v;
+            self.faulty[g.index()] = v;
+        }
+        self.base_cube = Some(constraint.clone());
+    }
+
+    /// Installs `fault` and walks its cone (forward through combinational
+    /// fanout) and its region (the cone's fan-in closure, plus the site's
+    /// own pins: a DFF pin fault reads the cell's D driver).
+    fn reset(&mut self, fault: Fault, observable: Option<&[bool]>) {
+        self.fault = Some(fault);
+        for g in self.region_gates.drain(..) {
+            self.cone[g.index()] = false;
+            self.region[g.index()] = false;
+        }
+        self.cone_gates.clear();
         self.cone_outputs.clear();
+
+        let view = self.view;
         let seed = fault.site.gate;
         let mut stack = std::mem::take(&mut self.walk);
         stack.clear();
         stack.push(seed);
         self.cone[seed.index()] = true;
         while let Some(g) = stack.pop() {
+            self.region[g.index()] = true;
+            self.region_gates.push(g);
+            if self.order_pos[g.index()] != u32::MAX {
+                self.cone_gates.push(g);
+            }
             for &consumer in view.comb_fanout(g) {
                 if !self.cone[consumer.index()] {
                     self.cone[consumer.index()] = true;
@@ -348,9 +424,27 @@ impl<'a> Podem<'a> {
             }
         }
         self.walk = stack;
-        self.cone_gates.clear();
+        let order_pos = &self.order_pos;
         self.cone_gates
-            .extend(view.order().iter().filter(|&&g| self.cone[g.index()]));
+            .sort_unstable_by_key(|g| order_pos[g.index()]);
+
+        // The region grows from `region_gates` used as its own worklist.
+        if fault.site.pin.is_some() {
+            for &f in self.netlist.gate(seed).fanin() {
+                self.join_region(f);
+            }
+        }
+        let mut next = 0;
+        while next < self.region_gates.len() {
+            let g = self.region_gates[next];
+            next += 1;
+            if self.order_pos[g.index()] != u32::MAX {
+                for &f in self.netlist.gate(g).fanin() {
+                    self.join_region(f);
+                }
+            }
+        }
+
         for o in 0..view.output_count() {
             if let Some(flags) = observable {
                 if !flags[o] {
@@ -367,11 +461,59 @@ impl<'a> Podem<'a> {
                 self.cone_outputs.push(o);
             }
         }
+    }
+
+    fn join_region(&mut self, g: GateId) {
+        if !self.region[g.index()] {
+            self.region[g.index()] = true;
+            self.region_gates.push(g);
+        }
+    }
+
+    /// Brings the cone's faulty plane to the state the pinned bits alone
+    /// imply, evaluating exactly the gates a whole-netlist drain from the
+    /// pins would: those with a fanin that queues its consumers
+    /// ([`queues`](Self::queues)). Outside the cone that state is the base
+    /// plane itself.
+    fn open_cone(&mut self) {
+        let fault = self.active_fault();
+        let site = fault.site.gate;
         // The faulty value at a stem fault site on a *source* gate is pinned
         // immediately (sources are not re-evaluated by propagation).
-        if fault.site.pin.is_none() && view.input_index_of(fault.site.gate).is_some() {
-            self.faulty[fault.site.gate.index()] = stuck_logic(fault);
+        if fault.site.pin.is_none() && self.order_pos[site.index()] == u32::MAX {
+            self.write(site, self.good[site.index()], stuck_logic(fault));
         }
+        for k in 0..self.cone_gates.len() {
+            let g = self.cone_gates[k];
+            if !self.netlist.gate(g).fanin().iter().any(|&f| self.queues(f)) {
+                continue;
+            }
+            let (ng, nf) = self.eval_gate(g);
+            debug_assert_eq!(ng, self.good[g.index()], "the good plane is the base");
+            if nf != self.faulty[g.index()] {
+                self.write(g, ng, nf);
+            }
+        }
+    }
+
+    /// Whether `f`'s opening pair queued its consumers in the drain from
+    /// the pins: a pinned input does, and so does a gate whose pair left
+    /// `(X, X)`. An unpinned source stem-fault site holds its stuck value
+    /// without queueing anything.
+    fn queues(&self, f: GateId) -> bool {
+        self.good[f.index()].is_specified()
+            || (self.faulty[f.index()].is_specified() && self.order_pos[f.index()] != u32::MAX)
+    }
+
+    /// Sets `g`'s planes, recording it on the trail the next call undoes.
+    fn write(&mut self, g: GateId, good: Logic, faulty: Logic) {
+        let i = g.index();
+        if !self.on_trail[i] {
+            self.on_trail[i] = true;
+            self.trail.push(g);
+        }
+        self.good[i] = good;
+        self.faulty[i] = faulty;
     }
 
     /// Assigns (or unassigns, with `Logic::X`) a combinational input and
@@ -386,12 +528,12 @@ impl<'a> Podem<'a> {
     fn set_input(&mut self, input: usize, value: Logic) {
         let gate = self.view.input_gate(input);
         let fault = self.active_fault();
-        self.good[gate.index()] = value;
-        self.faulty[gate.index()] = if fault.site.pin.is_none() && fault.site.gate == gate {
+        let faulty = if fault.site.pin.is_none() && fault.site.gate == gate {
             stuck_logic(fault)
         } else {
             value
         };
+        self.write(gate, value, faulty);
         self.enqueue_fanout(gate);
     }
 
@@ -404,18 +546,19 @@ impl<'a> Podem<'a> {
                 self.queued[g.index()] = false;
                 let (ng, nf) = self.eval_gate(g);
                 if ng != self.good[g.index()] || nf != self.faulty[g.index()] {
-                    self.good[g.index()] = ng;
-                    self.faulty[g.index()] = nf;
+                    self.write(g, ng, nf);
                     self.enqueue_fanout(g);
                 }
             }
         }
     }
 
+    /// Queues `g`'s consumers inside the region; gates outside it never
+    /// feed a gate the search reads.
     fn enqueue_fanout(&mut self, g: GateId) {
         let view = self.view;
         for &consumer in view.comb_fanout(g) {
-            if !self.queued[consumer.index()] {
+            if self.region[consumer.index()] && !self.queued[consumer.index()] {
                 self.queued[consumer.index()] = true;
                 self.buckets[view.level(consumer) as usize].push(consumer);
             }
@@ -1010,6 +1153,260 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The solver's opening before it was confined to the fault's region:
+    /// both planes X, the pins set, one drain over the whole netlist, and
+    /// every later assignment drained over the whole netlist too. The
+    /// oracle of `open` and of the region-confined drain (DESIGN.md §11.7).
+    struct ColdStart<'n> {
+        netlist: &'n Netlist,
+        view: &'n ScanView,
+        fault: Fault,
+        cone: Vec<bool>,
+        good: Vec<Logic>,
+        faulty: Vec<Logic>,
+        buckets: Vec<Vec<GateId>>,
+        queued: Vec<bool>,
+    }
+
+    impl<'n> ColdStart<'n> {
+        fn open(netlist: &'n Netlist, view: &'n ScanView, fault: Fault, constraint: &Cube) -> Self {
+            let n = netlist.gate_count();
+            let mut cone = vec![false; n];
+            let mut stack = vec![fault.site.gate];
+            cone[fault.site.gate.index()] = true;
+            while let Some(g) = stack.pop() {
+                for &c in view.comb_fanout(g) {
+                    if !cone[c.index()] {
+                        cone[c.index()] = true;
+                        stack.push(c);
+                    }
+                }
+            }
+            let mut cold = ColdStart {
+                netlist,
+                view,
+                fault,
+                cone,
+                good: vec![Logic::X; n],
+                faulty: vec![Logic::X; n],
+                buckets: vec![Vec::new(); view.depth() as usize + 2],
+                queued: vec![false; n],
+            };
+            if fault.site.pin.is_none() && view.input_index_of(fault.site.gate).is_some() {
+                cold.faulty[fault.site.gate.index()] = stuck_logic(fault);
+            }
+            for (i, v) in constraint.iter().enumerate() {
+                if v.is_specified() {
+                    cold.set_input(i, v);
+                }
+            }
+            cold.drain();
+            cold
+        }
+
+        fn assign(&mut self, input: usize, value: Logic) {
+            self.set_input(input, value);
+            self.drain();
+        }
+
+        fn set_input(&mut self, input: usize, value: Logic) {
+            let gate = self.view.input_gate(input);
+            self.good[gate.index()] = value;
+            self.faulty[gate.index()] =
+                if self.fault.site.pin.is_none() && self.fault.site.gate == gate {
+                    stuck_logic(self.fault)
+                } else {
+                    value
+                };
+            self.enqueue_fanout(gate);
+        }
+
+        fn drain(&mut self) {
+            for level in 1..self.buckets.len() {
+                while let Some(g) = self.buckets[level].pop() {
+                    self.queued[g.index()] = false;
+                    let pair = self.eval(g);
+                    if pair != (self.good[g.index()], self.faulty[g.index()]) {
+                        (self.good[g.index()], self.faulty[g.index()]) = pair;
+                        self.enqueue_fanout(g);
+                    }
+                }
+            }
+        }
+
+        fn enqueue_fanout(&mut self, g: GateId) {
+            for &c in self.view.comb_fanout(g) {
+                if !self.queued[c.index()] {
+                    self.queued[c.index()] = true;
+                    self.buckets[self.view.level(c) as usize].push(c);
+                }
+            }
+        }
+
+        fn eval(&self, g: GateId) -> (Logic, Logic) {
+            let gate = self.netlist.gate(g);
+            let fault = self.fault;
+            let site = fault.site.gate == g;
+            let (good, faulty) = if self.cone[g.index()] {
+                (&self.good, &self.faulty)
+            } else {
+                (&self.good, &self.good)
+            };
+            let (ng, nf) = eval_planes(
+                gate.kind(),
+                gate.fanin().iter().enumerate().map(|(pin, f)| {
+                    let fv = if site && fault.site.pin == Some(pin as u32) {
+                        stuck_logic(fault)
+                    } else {
+                        faulty[f.index()]
+                    };
+                    (good[f.index()], fv)
+                }),
+            );
+            if site && fault.site.pin.is_none() {
+                (ng, stuck_logic(fault))
+            } else {
+                (ng, nf)
+            }
+        }
+    }
+
+    /// Every gate the search can read for `fault`: the fan-in closure of
+    /// its cone and of the site's reference net (a DFF pin fault reads the
+    /// cell's D driver, which the cone need not reach).
+    fn read_set(netlist: &Netlist, cold: &ColdStart<'_>) -> Vec<GateId> {
+        let site = cold.fault.site;
+        let reference = match site.pin {
+            Some(pin) => netlist.gate(site.gate).fanin()[pin as usize],
+            None => site.gate,
+        };
+        let mut seen = cold.cone.clone();
+        seen[reference.index()] = true;
+        let mut stack: Vec<GateId> = netlist.gate_ids().filter(|g| seen[g.index()]).collect();
+        let mut set = stack.clone();
+        while let Some(g) = stack.pop() {
+            if !netlist.gate(g).kind().is_combinational() {
+                continue;
+            }
+            for &f in netlist.gate(g).fanin() {
+                if !seen[f.index()] {
+                    seen[f.index()] = true;
+                    stack.push(f);
+                    set.push(f);
+                }
+            }
+        }
+        set
+    }
+
+    fn random_constraint(rng: &mut tvs_logic::Prng, view: &ScanView) -> Cube {
+        let mut cube = Cube::unspecified(view.input_count());
+        let pin_every = 1 + rng.gen_range(0..4);
+        for i in 0..view.input_count() {
+            if rng.gen_range(0..pin_every) == 0 {
+                cube.set(i, Logic::from(rng.next_bool()));
+            }
+        }
+        cube
+    }
+
+    /// One prover serves random (fault, constraint) pairs, with constraints
+    /// reused, switched and interleaved with full searches, so base reuse,
+    /// base recompute and trail restore all run. After each opening, and
+    /// after each of a few random assignments, every gate the search can
+    /// read must lie in the region and hold the cold start's pair.
+    #[test]
+    fn region_opening_matches_the_cold_whole_netlist_start() {
+        let mut circuits = vec![fig1()];
+        for name in ["s444", "s526", "s641", "s953"] {
+            circuits.push(tvs_circuits::profile(name).expect("profile").build());
+        }
+        let mut rng = tvs_logic::Prng::seed_from_u64(0x0C01D);
+        // [shortcut, unpinned source stems, DFF pin faults, base reuses]
+        let mut seen = [0usize; 4];
+        for netlist in &circuits {
+            let view = netlist.scan_view().unwrap();
+            let mut podem = Podem::new(netlist, &view);
+            let faults = FaultList::full(netlist);
+            let ppis = view.ppis();
+            let mut pool: Vec<Cube> = Vec::new();
+            let mut last: Option<Cube> = None;
+            for round in 0..240 {
+                if round % 40 == 0 {
+                    pool = vec![Cube::unspecified(view.input_count())];
+                    pool.extend((0..2).map(|_| random_constraint(&mut rng, &view)));
+                }
+                let constraint = pool[rng.gen_range(0..pool.len())].clone();
+                let stuck = if rng.next_bool() {
+                    StuckAt::One
+                } else {
+                    StuckAt::Zero
+                };
+                let fault = match rng.gen_range(0..4) {
+                    0 => Fault::stem(ppis[rng.gen_range(0..ppis.len())], stuck),
+                    1 => Fault::branch(ppis[rng.gen_range(0..ppis.len())], 0, stuck),
+                    _ => faults.faults()[rng.gen_range(0..faults.len())],
+                };
+                if last.as_ref() == Some(&constraint) {
+                    seen[3] += 1;
+                }
+                last = Some(constraint.clone());
+                if rng.gen_range(0..3) == 0 {
+                    // A full search leaves its decisions on the trail.
+                    podem.generate(fault, &constraint);
+                    continue;
+                }
+                let mut cold = ColdStart::open(netlist, &view, fault, &constraint);
+                let what = fault.display_in(netlist);
+                if !podem.open(fault, &constraint, None) {
+                    assert_eq!(podem.site_value(), stuck_logic(fault), "{what}");
+                    seen[0] += 1;
+                    continue;
+                }
+                let site_is_source = view.input_index_of(fault.site.gate).is_some();
+                if site_is_source
+                    && fault.site.pin.is_none()
+                    && constraint[view.input_index_of(fault.site.gate).unwrap()] == Logic::X
+                {
+                    seen[1] += 1;
+                }
+                if site_is_source && fault.site.pin.is_some() {
+                    seen[2] += 1;
+                }
+                let reads = read_set(netlist, &cold);
+                let free: Vec<usize> = reads
+                    .iter()
+                    .filter_map(|&g| view.input_index_of(g))
+                    .filter(|&i| constraint[i] == Logic::X)
+                    .collect();
+                for step in 0..=6 {
+                    if step > 0 {
+                        if free.is_empty() {
+                            break;
+                        }
+                        let input = free[rng.gen_range(0..free.len())];
+                        let value = Logic::ALL[rng.gen_range(0..3)];
+                        podem.assign(input, value);
+                        cold.assign(input, value);
+                    }
+                    for &g in &reads {
+                        assert!(podem.region[g.index()], "{what}: {g:?} outside the region");
+                        assert_eq!(
+                            (podem.good[g.index()], podem.faulty[g.index()]),
+                            (cold.good[g.index()], cold.faulty[g.index()]),
+                            "{what} under {constraint} at step {step}: gate {}",
+                            netlist.gate_name(g)
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every opening path must run: {seen:?}"
+        );
     }
 
     #[test]
