@@ -58,16 +58,23 @@ done
 "$TVS" run "$PROGS/s1196.bench" --stats > "$PROGS/s1196.stats"
 awk '$1 == "atpg.podem_reused" && $2 > 0 { ok = 1 } END { exit !ok }' "$PROGS/s1196.stats"
 # Candidate scoring and cycle classification run on the run's own
-# simulation session (DESIGN.md §11.6), so simulation work must not depend
-# on the thread count: both counters read the same at 1 and 2 threads.
+# simulation session (DESIGN.md §11.6), and every PODEM call's work is a
+# function of its fault and constraint (§11.7), so neither simulation nor
+# PODEM work may depend on the thread count: these counters read the same
+# at 1 and 2 threads.
 for t in 1 2; do
   "$TVS" run "$PROGS/s1423.bench" --threads "$t" --stats > "$PROGS/s1423.t$t.stats"
 done
-for c in sim.gates_evaluated fault.slots_simulated; do
+for c in sim.gates_evaluated fault.slots_simulated atpg.podem_evals atpg.backtracks; do
   one=$(awk -v c="$c" '$1 == c { print $2 }' "$PROGS/s1423.t1.stats")
   two=$(awk -v c="$c" '$1 == c { print $2 }' "$PROGS/s1423.t2.stats")
   test -n "$one" && test "$one" = "$two"
 done
+# PODEM opens each call over the fault's region, not the whole netlist
+# (DESIGN.md §11.7). No output byte shows it, so the evaluation count
+# must: s1423 reads 4.31 M, and a whole-netlist opening or drain 19.3 M.
+awk '$1 == "atpg.podem_evals" && $2 <= 6500000 { ok = 1 } END { exit !ok }' \
+  "$PROGS/s1423.t1.stats"
 emit_and_interpret s5378  --budget 4000000
 emit_and_interpret s9234  --budget 8000000
 for p in s13207 s15850; do

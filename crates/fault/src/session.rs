@@ -186,8 +186,9 @@ impl<'a> SimSession<'a> {
     /// Seeds (or re-seeds) the fault-free baseline for `stimulus` and
     /// returns the good-machine outputs (POs then PPOs).
     ///
-    /// Re-seeding with the stimulus already in place is free; a different
-    /// stimulus costs one full sweep. Every later sweep in this session is
+    /// Re-seeding with the stimulus already in place is free, and so is
+    /// one that fills a slot of the seeded baseline; any other stimulus
+    /// costs one full sweep. Every later sweep in this session is
     /// evaluated incrementally against this baseline.
     ///
     /// # Errors
@@ -198,11 +199,22 @@ impl<'a> SimSession<'a> {
         Ok(self.base_outputs.clone())
     }
 
-    /// Seeds `stimulus` in every slot as the baseline.
+    /// Seeds `stimulus` in every slot as the baseline. A stimulus that is
+    /// one slot of the seeded baseline (the candidate a pattern-parallel
+    /// scoring pass just packed) is broadcast from it without a sweep.
     fn seed_broadcast(&mut self, stimulus: &BitVec) -> Result<(), FaultError> {
         self.check_width(0, stimulus)?;
         for (i, bit) in stimulus.iter().enumerate() {
             self.words[i] = if bit { !0u64 } else { 0 };
+        }
+        if self.psim.has_baseline() && self.seed != self.words {
+            let slots = (self.seed.iter().zip(&self.words)).fold(!0u64, |m, (s, w)| m & !(s ^ w));
+            if slots != 0 {
+                self.psim.broadcast_baseline_slot(slots.trailing_zeros());
+                self.seed.clone_from(&self.words);
+                self.base_outputs = self.psim.output_slot(0);
+                return Ok(());
+            }
         }
         self.seed_words();
         Ok(())

@@ -114,7 +114,6 @@ pub struct ParallelSim<'a> {
     /// Level-indexed worklist buckets (index = topological level).
     buckets: Vec<Vec<GateId>>,
     gates_evaluated: Counter,
-    events_saved: Counter,
 }
 
 impl<'a> ParallelSim<'a> {
@@ -139,7 +138,6 @@ impl<'a> ParallelSim<'a> {
             queued: vec![false; netlist.gate_count()],
             buckets: vec![Vec::new(); view.depth() as usize + 1],
             gates_evaluated: tvs_exec::counter("sim.gates_evaluated"),
-            events_saved: tvs_exec::counter("sim.events_saved"),
         }
     }
 
@@ -197,6 +195,31 @@ impl<'a> ParallelSim<'a> {
         self.base_valid = true;
     }
 
+    /// Re-seeds the baseline with slot `slot` of the current one in every
+    /// slot, without a sweep. Machines in different slots never interact,
+    /// so every word equals what [`seed_baseline`](Self::seed_baseline)
+    /// of that slot's stimulus, broadcast, would compute.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a baseline seeded without injections is in place, or
+    /// if `slot >= 64`.
+    pub fn broadcast_baseline_slot(&mut self, slot: u32) {
+        assert!(
+            self.base_valid && self.base_clean,
+            "broadcasting a slot needs a baseline seeded without injections"
+        );
+        assert!(slot < 64, "slot out of range");
+        let spread = |w: &mut u64| *w = 0u64.wrapping_sub((*w >> slot) & 1);
+        self.base_words.iter_mut().for_each(spread);
+        self.base_inputs.iter_mut().for_each(spread);
+        self.base_outputs.iter_mut().for_each(spread);
+        self.words.clone_from(&self.base_words);
+        self.outputs.clone_from(&self.base_outputs);
+        self.base_dirty.clear();
+        self.index_injections(&[]);
+    }
+
     /// Whether a baseline sweep is currently seeded.
     pub fn has_baseline(&self) -> bool {
         self.base_valid
@@ -214,8 +237,8 @@ impl<'a> ParallelSim<'a> {
     /// gates cannot alter any value. When the changed inputs' precomputed
     /// [`ScanView::input_cone`]s already cover the whole core, the kernel
     /// falls back to a plain full sweep (the worklist would only add
-    /// overhead). The `sim.gates_evaluated` / `sim.events_saved` counter
-    /// pair records how much work each mode performed and avoided.
+    /// overhead). The `sim.gates_evaluated` counter records how much work
+    /// each mode performed.
     ///
     /// Falls back to a full (non-baseline) [`eval`](Self::eval) when no
     /// baseline is seeded.
@@ -439,8 +462,6 @@ impl<'a> ParallelSim<'a> {
             self.buckets[lvl] = bucket;
         }
         self.gates_evaluated.add(evaluated);
-        self.events_saved
-            .add(self.view.order().len() as u64 - evaluated);
     }
 
     /// Indexes `injections` by gate into `inj_flag` / `inj_by_gate`,
@@ -892,6 +913,50 @@ mod tests {
         sim.eval_incremental(&[0b01, 0b11, 0b10], &[]);
         let after: Vec<u64> = (0..v.output_count()).map(|o| sim.output_word(o)).collect();
         assert_eq!(before, after);
+    }
+
+    /// A broadcast slot of a packed baseline is the baseline a fresh
+    /// sweep of that slot's stimulus seeds, and later sweeps against it
+    /// read the same.
+    #[test]
+    fn broadcast_slot_equals_a_seeded_sweep() {
+        use tvs_logic::Prng;
+
+        let n = tvs_circuits::profile("s444").unwrap().build();
+        let v = n.scan_view().unwrap();
+        let all: Vec<GateId> = n.gate_ids().collect();
+        let mut rng = Prng::seed_from_u64(0xB0AD);
+        let mut packed = ParallelSim::new(&n, &v);
+        let mut fresh = ParallelSim::new(&n, &v);
+        for _ in 0..8 {
+            let words: Vec<u64> = (0..v.input_count()).map(|_| rng.next_u64()).collect();
+            packed.seed_baseline(&words, &[]);
+            let slot = rng.gen_range(0..64) as u32;
+            packed.broadcast_baseline_slot(slot);
+            let spread: Vec<u64> = words
+                .iter()
+                .map(|w| 0u64.wrapping_sub((w >> slot) & 1))
+                .collect();
+            fresh.seed_baseline(&spread, &[]);
+            for &id in &all {
+                assert_eq!(packed.word(id), fresh.word(id), "slot {slot}");
+            }
+            let injections = [Injection {
+                gate: all[rng.gen_range(0..all.len())],
+                pin: None,
+                stuck: rng.next_bool(),
+                slots: rng.next_u64(),
+            }];
+            assert_eq!(
+                packed.detect_mask(&injections, &[]),
+                fresh.detect_mask(&injections, &[])
+            );
+            packed.eval_incremental(&spread, &injections);
+            fresh.eval_incremental(&spread, &injections);
+            for o in 0..v.output_count() {
+                assert_eq!(packed.output_word(o), fresh.output_word(o));
+            }
+        }
     }
 
     #[test]
