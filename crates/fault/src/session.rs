@@ -208,7 +208,11 @@ impl<'a> SimSession<'a> {
             self.words[i] = if bit { !0u64 } else { 0 };
         }
         if self.psim.has_baseline() && self.seed != self.words {
-            let slots = (self.seed.iter().zip(&self.words)).fold(!0u64, |m, (s, w)| m & !(s ^ w));
+            let slots = self
+                .seed
+                .iter()
+                .zip(&self.words)
+                .fold(!0u64, |m, (s, w)| m & !(s ^ w));
             if slots != 0 {
                 self.psim.broadcast_baseline_slot(slots.trailing_zeros());
                 self.seed.clone_from(&self.words);
