@@ -941,6 +941,9 @@ mod tests {
             for &id in &all {
                 assert_eq!(packed.word(id), fresh.word(id), "slot {slot}");
             }
+            for o in 0..v.output_count() {
+                assert_eq!(packed.output_word(o), fresh.output_word(o), "slot {slot}");
+            }
             let injections = [Injection {
                 gate: all[rng.gen_range(0..all.len())],
                 pin: None,
