@@ -58,17 +58,25 @@ done
 "$TVS" run "$PROGS/s1196.bench" --stats > "$PROGS/s1196.stats"
 awk '$1 == "atpg.podem_reused" && $2 > 0 { ok = 1 } END { exit !ok }' "$PROGS/s1196.stats"
 # Candidate scoring and cycle classification run on the run's own
-# simulation session (DESIGN.md §11.6), and every PODEM call's work is a
-# function of its fault and constraint (§11.7), so neither simulation nor
-# PODEM work may depend on the thread count: these counters read the same
-# at 1 and 2 threads.
-for t in 1 2; do
+# simulation session (DESIGN.md §11.6), every PODEM call's work is a
+# function of its fault and constraint (§11.7), and the claim loop
+# publishes only the calls the serial order makes (§11.8), so neither
+# simulation nor PODEM work may depend on the thread count: these counters
+# read the same at 1, 2 and 8 threads. The random strategy stops each
+# phase at its first test, so it reads the same at 1 and 2 threads too.
+for t in 1 2 8; do
   "$TVS" run "$PROGS/s1423.bench" --threads "$t" --stats > "$PROGS/s1423.t$t.stats"
 done
+for t in 1 2; do
+  "$TVS" run "$PROGS/s1423.bench" --strategy random --threads "$t" --stats \
+    > "$PROGS/s1423.random.t$t.stats"
+done
 for c in sim.gates_evaluated fault.slots_simulated atpg.podem_evals atpg.backtracks; do
-  one=$(awk -v c="$c" '$1 == c { print $2 }' "$PROGS/s1423.t1.stats")
-  two=$(awk -v c="$c" '$1 == c { print $2 }' "$PROGS/s1423.t2.stats")
-  test -n "$one" && test "$one" = "$two"
+  for pair in t1:t2 t1:t8 random.t1:random.t2; do
+    one=$(awk -v c="$c" '$1 == c { print $2 }' "$PROGS/s1423.${pair%%:*}.stats")
+    two=$(awk -v c="$c" '$1 == c { print $2 }' "$PROGS/s1423.${pair##*:}.stats")
+    test -n "$one" && test "$one" = "$two"
+  done
 done
 # PODEM opens each call over the fault's region, not the whole netlist
 # (DESIGN.md §11.7). No output byte shows it, so the evaluation count

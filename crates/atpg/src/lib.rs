@@ -34,6 +34,6 @@ pub use engine::{
     AtpgTermination, PatternSet,
 };
 pub use fill::FillStrategy;
-pub use podem::{Podem, PodemConfig, PodemResult};
+pub use podem::{Podem, PodemConfig, PodemResult, PodemWork};
 pub use random::random_phase;
 pub use verdicts::Verdicts;

@@ -65,6 +65,16 @@ impl PodemResult {
     }
 }
 
+/// The work one PODEM call did: what [`Podem::solve`] reports instead of
+/// publishing it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PodemWork {
+    /// Backtracks the call consumed (its budget charge is `1 + backtracks`).
+    pub backtracks: u32,
+    /// Two-plane gate evaluations the call made.
+    pub evals: u64,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Decision {
     input: usize,
@@ -157,8 +167,7 @@ pub struct Podem<'a> {
     /// Work stack of the cone and X-path walks.
     walk: Vec<GateId>,
     fault: Option<Fault>,
-    /// Gate evaluations in the `generate` call in progress, added to
-    /// `eval_counter` once per call.
+    /// Gate evaluations in the `solve` call in progress.
     evals: u64,
     backtrack_counter: tvs_exec::Counter,
     eval_counter: tvs_exec::Counter,
@@ -214,11 +223,26 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Backtracks consumed by the most recent `generate*` call. Callers use
-    /// this as the deterministic work-unit charge for [`tvs_exec::Budget`]
-    /// bookkeeping (observed sequentially, so thread count cannot skew it).
+    /// A prover over the same netlist, view and configuration that shares
+    /// none of this one's state.
+    pub fn fresh(&self) -> Podem<'a> {
+        Podem::with_config(self.netlist, self.view, self.config)
+    }
+
+    /// Backtracks consumed by the most recent `generate*` or `solve` call.
+    /// Callers use this as the deterministic work-unit charge for
+    /// [`tvs_exec::Budget`] bookkeeping (observed sequentially, so thread
+    /// count cannot skew it).
     pub fn last_backtracks(&self) -> u32 {
         self.last_backtracks
+    }
+
+    /// Adds a call's work to `atpg.backtracks` and `atpg.podem_evals`.
+    /// Every `generate*` call that runs a search publishes its own work;
+    /// a [`solve`](Self::solve) caller publishes only the calls it keeps.
+    pub fn publish(&self, work: PodemWork) {
+        self.backtrack_counter.add(u64::from(work.backtracks));
+        self.eval_counter.add(work.evals);
     }
 
     /// Attempts to generate a test for `fault` under `constraint`.
@@ -269,6 +293,26 @@ impl<'a> Podem<'a> {
         constraint: &Cube,
         observable: Option<&[bool]>,
     ) -> PodemResult {
+        let (result, work) = self.solve(fault, constraint, observable);
+        self.publish(work);
+        result
+    }
+
+    /// [`generate_observable`](Self::generate_observable) without
+    /// publishing: the call's work comes back next to its verdict, for the
+    /// caller to [`publish`](Self::publish) if it keeps the call. A
+    /// speculative call that is dropped then leaves no trace in the
+    /// counters.
+    ///
+    /// # Panics
+    ///
+    /// As [`generate_observable`](Self::generate_observable).
+    pub fn solve(
+        &mut self,
+        fault: Fault,
+        constraint: &Cube,
+        observable: Option<&[bool]>,
+    ) -> (PodemResult, PodemWork) {
         assert_eq!(
             constraint.len(),
             self.view.input_count(),
@@ -281,23 +325,32 @@ impl<'a> Podem<'a> {
                 "observable flag count must match the scan view"
             );
         }
-        // Chaos site: an armed "atpg.podem.abort" storm makes every call
-        // give up immediately, modeling pathological backtrack exhaustion.
-        if tvs_exec::inject::fire("atpg.podem.abort") {
+        // Chaos site: an armed "atpg.podem.abort" window makes every call
+        // on a fault whose site gate index it covers give up at once,
+        // modeling pathological backtrack exhaustion. It is keyed by the
+        // site, not by a hit count, so it lands on the same calls however
+        // the calls are spread over threads.
+        if tvs_exec::inject::fire_at("atpg.podem.abort", fault.site.gate.index() as u64) {
             self.last_backtracks = 0;
-            return PodemResult::Aborted;
+            return (PodemResult::Aborted, PodemWork::default());
         }
         self.evals = 0;
         if !self.open(fault, constraint, observable) {
             // The search would stop at its first decision: one backtrack,
             // then an empty decision stack (DESIGN.md §11.7).
             self.last_backtracks = 1;
-            self.backtrack_counter.add(1);
-            return if self.config.backtrack_limit >= 1 {
+            let result = if self.config.backtrack_limit >= 1 {
                 PodemResult::Untestable
             } else {
                 PodemResult::Aborted
             };
+            return (
+                result,
+                PodemWork {
+                    backtracks: 1,
+                    evals: 0,
+                },
+            );
         }
 
         let mut stack: Vec<Decision> = Vec::new();
@@ -344,9 +397,13 @@ impl<'a> Podem<'a> {
             }
         };
         self.last_backtracks = backtracks;
-        self.backtrack_counter.add(u64::from(backtracks));
-        self.eval_counter.add(self.evals);
-        result
+        (
+            result,
+            PodemWork {
+                backtracks,
+                evals: self.evals,
+            },
+        )
     }
 
     /// The fault installed by `reset` for the `generate` call in progress.

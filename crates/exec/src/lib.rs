@@ -17,9 +17,9 @@
 //!   [`span`] timers and a [`report`] snapshot the CLI renders as a
 //!   `--stats` table.
 //! * Robustness substrate — deterministic work [`Budget`]s (work units, never
-//!   wall clock), panic-capturing [`try_map`](ThreadPool::try_map) with a
-//!   deterministic [`TaskPanic`] outcome, and the [`inject`] chaos-testing
-//!   registry (compiled out in release builds).
+//!   wall clock), the deterministic [`TaskPanic`] outcome of a failed work
+//!   item, and the [`inject`] chaos-testing registry (compiled out in
+//!   release builds).
 //! * Serving substrate — [`JobQueue`], a bounded multi-producer job queue
 //!   with long-lived workers and cloneable [`JobHandle`]s, the admission /
 //!   single-flight primitive under the `tvs-serve` daemon.
@@ -51,6 +51,6 @@ mod queue;
 mod stats;
 
 pub use budget::Budget;
-pub use pool::{default_threads, Scope, TaskPanic, ThreadPool};
+pub use pool::{default_threads, payload_message, Scope, TaskPanic, ThreadPool};
 pub use queue::{JobHandle, JobPanicked, JobQueue, QueueFull};
 pub use stats::{counter, report, reset_stats, span, Counter, Report, SpanGuard};

@@ -230,51 +230,6 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Like [`map`](Self::map), but panics inside `f` are captured instead of
-    /// re-raised: the call returns the lowest panicking input index and its
-    /// stringified payload as a [`TaskPanic`]. The lowest-index rule makes the
-    /// reported failure deterministic at any thread count, which lets callers
-    /// salvage partial results reproducibly.
-    pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, TaskPanic>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let mut out: Vec<Option<Result<R, String>>> = Vec::with_capacity(items.len());
-        out.resize_with(items.len(), || None);
-        let f = &f;
-        if self.threads <= 1 || items.len() <= 1 {
-            for (i, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
-                *slot = Some(
-                    panic::catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(payload_message),
-                );
-            }
-        } else {
-            self.scope(|s| {
-                for (i, (item, slot)) in items.iter().zip(out.iter_mut()).enumerate() {
-                    s.spawn(move || {
-                        *slot = Some(
-                            panic::catch_unwind(AssertUnwindSafe(|| f(i, item)))
-                                .map_err(payload_message),
-                        );
-                    });
-                }
-            });
-        }
-        let mut results = Vec::with_capacity(out.len());
-        for (index, slot) in out.into_iter().enumerate() {
-            match slot {
-                Some(Ok(r)) => results.push(r),
-                Some(Err(message)) => return Err(TaskPanic { index, message }),
-                // Unreachable: the scope barrier fills every slot, and panics
-                // inside `f` were already captured into the slot itself.
-                None => unreachable!("every spawned task completed"),
-            }
-        }
-        Ok(results)
-    }
-
     /// Like [`map`](Self::map), but spawns one task per `chunk` consecutive
     /// items instead of one per item — the right granularity when individual
     /// items are cheap (e.g. 64-fault simulation words).
@@ -377,7 +332,7 @@ fn worker_loop(shared: &Shared, home: usize) {
     }
 }
 
-/// A work item inside [`ThreadPool::try_map`] panicked.
+/// A work item panicked.
 ///
 /// Carries the *lowest* panicking input index (deterministic at any thread
 /// count) and the stringified panic payload.
@@ -397,8 +352,9 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
-/// Renders a panic payload as a human-readable string.
-pub(crate) fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a caught panic payload as a human-readable string: the payload
+/// itself when it is a string, else a fixed placeholder.
+pub fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -640,27 +596,6 @@ mod tests {
         assert_eq!(started.get() - before, 64);
         // The pool survives and keeps working.
         assert_eq!(pool.map(&[1, 2, 3], |_, x| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn try_map_reports_the_lowest_panicking_index_at_any_thread_count() {
-        for threads in [1, 2, 4] {
-            let pool = ThreadPool::new(threads);
-            let items: Vec<usize> = (0..50).collect();
-            let err = pool
-                .try_map(&items, |i, &x| {
-                    if x % 7 == 3 {
-                        panic!("item {i} failed");
-                    }
-                    x * 2
-                })
-                .expect_err("panicking items must surface as TaskPanic");
-            assert_eq!(err.index, 3, "threads={threads}");
-            assert_eq!(err.message, "item 3 failed");
-            // No panic: results come back in order, and the pool is fine.
-            let ok = pool.try_map(&items, |_, &x| x + 1);
-            assert_eq!(ok, Ok((1..=50).collect()));
-        }
     }
 
     #[test]

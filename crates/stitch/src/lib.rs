@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod claim;
 mod classify;
 mod config;
 mod cycle;

@@ -269,6 +269,7 @@ impl StitchEngine<'_> {
         }
         let l = self.chain.length();
         let baseline_rate = run.baseline_rate();
+        let cycles_timer = tvs_exec::span("stitch.cycles");
 
         // Cycle 1: a conventional full shift-in, but chosen by the same
         // selection machinery (constraint-free). Skipped on resume — the
@@ -348,7 +349,9 @@ impl StitchEngine<'_> {
                 None => run.select_failed = true,
             }
         }
+        drop(cycles_timer);
 
+        let _finish_timer = tvs_exec::span("stitch.finish");
         run.finish()
     }
 }
@@ -428,11 +431,12 @@ impl RunState<'_, '_> {
             }
             let idx = remaining[0];
             let fault = self.sets.fault(idx);
-            match self.podem.generate_free(fault, &self.verdicts) {
+            let prover = &mut self.provers[0];
+            let result = prover.generate_free(fault, &self.verdicts);
+            let backtracks = u64::from(prover.last_backtracks());
+            match result {
                 PodemResult::Test(cube) => {
-                    self.budget.charge(
-                        1 + u64::from(self.podem.last_backtracks()) + remaining.len() as u64,
-                    );
+                    self.budget.charge(1 + backtracks + remaining.len() as u64);
                     let bits = cube.random_fill(&mut self.rng);
                     let faults: Vec<Fault> =
                         remaining.iter().map(|&i| self.sets.fault(i)).collect();
@@ -458,14 +462,12 @@ impl RunState<'_, '_> {
                     extra_vectors.push(bits);
                 }
                 PodemResult::Untestable => {
-                    self.budget
-                        .charge(1 + u64::from(self.podem.last_backtracks()));
+                    self.budget.charge(1 + backtracks);
                     redundant.push(fault);
                     remaining.remove(0);
                 }
                 PodemResult::Aborted => {
-                    self.budget
-                        .charge(1 + u64::from(self.podem.last_backtracks()));
+                    self.budget.charge(1 + backtracks);
                     aborted.push(fault);
                     remaining.remove(0);
                 }

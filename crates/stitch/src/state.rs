@@ -16,6 +16,7 @@ use tvs_atpg::{generate_tests_with, PatternSet, Podem, PodemConfig, PodemResult,
 use tvs_fault::{Fault, Scoap, SimSession, StaticPrune};
 use tvs_scan::CostModel;
 
+use crate::claim::claim_calls;
 use crate::config::config_fingerprint;
 use crate::engine::StitchEngine;
 use crate::run::{PodemVerdict, PrescreenRecord, PrescreenTrace, StitchError, StopCause};
@@ -32,7 +33,10 @@ pub(crate) struct RunState<'r, 'a> {
     pub(crate) cfg: &'r StitchConfig,
     pub(crate) pool: ThreadPool,
     pub(crate) rng: Prng,
-    pub(crate) podem: Podem<'r>,
+    /// One constrained prover per pool thread. `provers[0]` is the run's
+    /// own: it makes every call made outside the claim loop (the `ex`
+    /// fallback), so a one-thread run holds no other.
+    pub(crate) provers: Vec<Podem<'r>>,
     pub(crate) session: SimSession<'r>,
     pub(crate) scoap: Scoap,
     pub(crate) sets: FaultSets,
@@ -85,6 +89,13 @@ fn prescreen_podem(cfg: &StitchConfig) -> PodemConfig {
     }
 }
 
+/// One constrained prover per thread of `pool`.
+fn provers<'r>(eng: &'r StitchEngine<'_>, cfg: &StitchConfig, pool: &ThreadPool) -> Vec<Podem<'r>> {
+    (0..pool.threads())
+        .map(|_| Podem::with_config(eng.netlist, &eng.view, cfg.podem))
+        .collect()
+}
+
 /// The conventional-ATPG reference set, with PODEM calls answered from
 /// `verdicts` where the table decides them.
 fn baseline(
@@ -92,6 +103,7 @@ fn baseline(
     cfg: &StitchConfig,
     verdicts: &Verdicts,
 ) -> Result<PatternSet, StitchError> {
+    let _timer = tvs_exec::span("stitch.baseline");
     generate_tests_with(eng.netlist, &cfg.baseline, verdicts).map_err(|e| match e {
         tvs_atpg::AtpgOutcome::Netlist(err) => StitchError::Netlist(err),
     })
@@ -104,12 +116,13 @@ impl<'r, 'a> RunState<'r, 'a> {
         plan: Option<&[Option<PrescreenRecord>]>,
     ) -> Result<Self, StitchError> {
         let scoap = Scoap::compute(eng.netlist, &eng.view);
+        let pool = ThreadPool::new(cfg.threads);
         let mut state = RunState {
             eng,
             cfg,
-            pool: ThreadPool::new(cfg.threads),
+            provers: provers(eng, cfg, &pool),
+            pool,
             rng: Prng::seed_from_u64(cfg.seed),
-            podem: Podem::with_config(eng.netlist, &eng.view, cfg.podem),
             session: SimSession::new(eng.netlist, &eng.view),
             scoap,
             sets: FaultSets::new(Vec::new()),
@@ -285,12 +298,13 @@ impl<'r, 'a> RunState<'r, 'a> {
         let verdicts = Verdicts::new(prescreen_podem(cfg));
         let baseline = baseline(eng, cfg, &verdicts)?;
         let shifts = snap.cycles.iter().map(|c| c.shift).collect();
+        let pool = ThreadPool::new(cfg.threads);
         Ok(RunState {
             eng,
             cfg,
-            pool: ThreadPool::new(cfg.threads),
+            provers: provers(eng, cfg, &pool),
+            pool,
             rng: Prng::from_state(snap.rng),
-            podem: Podem::with_config(eng.netlist, &eng.view, cfg.podem),
             session: SimSession::new(eng.netlist, &eng.view),
             scoap: Scoap::compute(eng.netlist, &eng.view),
             sets,
@@ -408,6 +422,7 @@ impl<'r, 'a> RunState<'r, 'a> {
     /// accurate. A record missing its PODEM verdict where one is needed is
     /// demoted to live computation rather than trusted.
     fn prescreen(&mut self, plan: Option<&[Option<PrescreenRecord>]>) -> Result<(), StitchError> {
+        let _timer = tvs_exec::span("stitch.prescreen");
         // Chaos hook: a worker dying this early leaves no program to
         // salvage, so the whole run reports a typed error.
         if inject::fire("stitch.prescreen.panic") {
@@ -476,10 +491,6 @@ impl<'r, 'a> RunState<'r, 'a> {
         let free = Cube::unspecified(self.eng.view.input_count());
         let mut tracked: Vec<Fault> = Vec::with_capacity(faults.len());
         let deep = self.verdicts.config();
-        // Verdicts are independent per fault, so the deep PODEM runs fan out
-        // over the pool in fixed 32-fault chunks (one prover per chunk) and
-        // merge back in fault-index order — bit-identical at any thread
-        // count.
         // Structurally unobservable faults are untestable by construction
         // (no path to any observation point), so they skip the PODEM proof
         // entirely and classify as redundant — the same verdict the prover
@@ -511,37 +522,32 @@ impl<'r, 'a> RunState<'r, 'a> {
                 }
             }
         }
-        let chunks: Vec<&[Fault]> = live.chunks(32).collect();
+        // Verdicts are independent per fault, so the deep calls run on the
+        // claim loop with no early stop, one deep prover per thread, and
+        // reduce here in fault order: each call's work is published and its
+        // verdict recorded with the backtracks charged below, and the
+        // lowest-index panic fails the run.
         let (netlist, view) = (self.eng.netlist, &self.eng.view);
-        // Each verdict comes back with its backtrack count so the budget
-        // charge reduces on the caller side, in fault order — deterministic
-        // at any thread count.
-        let live_verdicts: Vec<(PodemResult, u32)> = self
-            .pool
-            .try_map(&chunks, |_, chunk| {
-                let mut prover = Podem::with_config(netlist, view, deep);
-                chunk
-                    .iter()
-                    .map(|&fault| {
-                        let verdict = prover.generate(fault, &free);
-                        (verdict, prover.last_backtracks())
-                    })
-                    .collect::<Vec<(PodemResult, u32)>>()
-            })
-            .map_err(|panic| StitchError::WorkerPanic {
-                message: panic.message,
-            })?
-            .into_iter()
-            .flatten()
+        let mut deep_provers: Vec<Podem<'_>> = (0..self.pool.threads().min(live.len()))
+            .map(|_| Podem::with_config(netlist, view, deep))
             .collect();
-        for (&slot, (result, backtracks)) in live_at.iter().zip(live_verdicts) {
+        let outcomes = claim_calls(
+            &self.pool,
+            &mut deep_provers,
+            live.len(),
+            usize::MAX,
+            |prover, i| prover.solve(live[i], &free, None),
+        );
+        for (&slot, outcome) in live_at.iter().zip(outcomes) {
+            let (result, work) = outcome.map_err(|message| StitchError::WorkerPanic { message })?;
+            deep_provers[0].publish(work);
             let kind = match result {
                 PodemResult::Test(_) => PodemVerdict::Test,
                 PodemResult::Untestable => PodemVerdict::Untestable,
                 PodemResult::Aborted => PodemVerdict::Aborted,
             };
-            verdict_at[slot] = Some((kind, backtracks));
-            self.verdicts.record(needs[slot].1, result, backtracks);
+            verdict_at[slot] = Some((kind, work.backtracks));
+            self.verdicts.record(needs[slot].1, result, work.backtracks);
         }
         let mut verdicts = verdict_at.into_iter();
         for (i, &fault) in faults.iter().enumerate() {

@@ -6,6 +6,7 @@ use tvs_logic::{BitVec, Cube, Logic};
 use tvs_atpg::PodemResult;
 use tvs_fault::{Fault, Machine, SimSession};
 
+use crate::claim::claim_calls;
 use crate::state::RunState;
 
 impl RunState<'_, '_> {
@@ -52,58 +53,7 @@ impl RunState<'_, '_> {
         let constraint = self.constraint(k, first);
         let observable = self.observable_flags(if first { self.l() } else { k });
         let targets = self.ordered_targets();
-        let mut candidates: Vec<BitVec> = Vec::new();
-
-        // Phase A: demand propagation to an observable point (PO or a
-        // next-shift-exposed cell) — every such vector's target is
-        // guaranteed to reach f_c. Phase B (only if A yields nothing):
-        // accept any differentiation; the target becomes hidden and bets on
-        // the paper's mutated-stimulus mechanism. The stagnation guard in
-        // `run` escalates the shift size if those bets stop paying off.
-        let mut stats = [0usize; 4]; // [A-ok, A-fail, B-ok, B-fail]
-        for phase in 0..2 {
-            let mut attempts = 0usize;
-            for &idx in &targets {
-                if self.failed_targets.contains(&idx) {
-                    continue;
-                }
-                if attempts >= self.cfg.max_targets_per_cycle {
-                    break;
-                }
-                attempts += 1;
-                let fault = self.sets.fault(idx);
-                let outcome = if phase == 0 {
-                    self.podem
-                        .generate_observable(fault, &constraint, Some(&observable))
-                } else {
-                    self.podem.generate(fault, &constraint)
-                };
-                self.budget
-                    .charge(1 + u64::from(self.podem.last_backtracks()));
-                match outcome {
-                    PodemResult::Test(cube) => {
-                        stats[phase * 2] += 1;
-                        let bits = cube.random_fill(&mut self.rng);
-                        if !self.cfg.strategy.resolve().is_greedy() {
-                            return Some(bits);
-                        }
-                        candidates.push(bits);
-                        if candidates.len() >= self.cfg.candidates {
-                            break;
-                        }
-                    }
-                    PodemResult::Untestable | PodemResult::Aborted => {
-                        stats[phase * 2 + 1] += 1;
-                        if phase == 1 {
-                            self.failed_targets.insert(idx);
-                        }
-                    }
-                }
-            }
-            if !candidates.is_empty() {
-                break;
-            }
-        }
+        let (mut candidates, stats) = self.candidates(&targets, &constraint, &observable);
         // lint:allow(SRC006) -- debug tracing gate; never influences results
         if std::env::var_os("TVS_DEBUG").is_some() {
             eprintln!(
@@ -193,6 +143,83 @@ impl RunState<'_, '_> {
         }
         Some(candidates.swap_remove(best))
     }
+
+    /// Phases A and B of a selection: candidate vectors from constrained
+    /// PODEM calls on the `targets`, in target order, plus the
+    /// `[A-ok, A-fail, B-ok, B-fail]` call counts.
+    ///
+    /// Phase A demands propagation to an observable point (PO or a
+    /// next-shift-exposed cell), so every such vector's target is
+    /// guaranteed to reach f_c. Phase B (only if A yields nothing) accepts
+    /// any differentiation; the target becomes hidden and bets on the
+    /// paper's mutated-stimulus mechanism. The stagnation guard in `run`
+    /// escalates the shift size if those bets stop paying off.
+    ///
+    /// Each phase makes its calls on the claim loop over the run's provers
+    /// (DESIGN.md §11.8), then consumes them here in target order exactly
+    /// as a serial loop would: publish the call's work, charge `1 +
+    /// backtracks`, fill a test from the run's PRNG, and stop at the first
+    /// test of a non-greedy strategy or at `candidates` tests of a greedy
+    /// one. Calls made past that point are dropped unread.
+    fn candidates(
+        &mut self,
+        targets: &[usize],
+        constraint: &Cube,
+        observable: &[bool],
+    ) -> (Vec<BitVec>, [usize; 4]) {
+        let need = if self.cfg.strategy.resolve().is_greedy() {
+            self.cfg.candidates.max(1)
+        } else {
+            1
+        };
+        let mut candidates: Vec<BitVec> = Vec::new();
+        let mut stats = [0usize; 4];
+        for phase in 0..2 {
+            let eligible: Vec<usize> = targets
+                .iter()
+                .copied()
+                .filter(|idx| !self.failed_targets.contains(idx))
+                .take(self.cfg.max_targets_per_cycle)
+                .collect();
+            let faults: Vec<Fault> = eligible.iter().map(|&i| self.sets.fault(i)).collect();
+            let mask = (phase == 0).then_some(observable);
+            let outcomes = claim_calls(
+                &self.pool,
+                &mut self.provers,
+                faults.len(),
+                need,
+                |prover, i| prover.solve(faults[i], constraint, mask),
+            );
+            for (&idx, outcome) in eligible.iter().zip(outcomes) {
+                let (result, work) = match outcome {
+                    Ok(call) => call,
+                    // A consumed call's panic is re-raised on the caller.
+                    Err(message) => std::panic::resume_unwind(Box::new(message)),
+                };
+                self.provers[0].publish(work);
+                self.budget.charge(1 + u64::from(work.backtracks));
+                match result {
+                    PodemResult::Test(cube) => {
+                        stats[phase * 2] += 1;
+                        candidates.push(cube.random_fill(&mut self.rng));
+                        if candidates.len() >= need {
+                            break;
+                        }
+                    }
+                    PodemResult::Untestable | PodemResult::Aborted => {
+                        stats[phase * 2 + 1] += 1;
+                        if phase == 1 {
+                            self.failed_targets.insert(idx);
+                        }
+                    }
+                }
+            }
+            if !candidates.is_empty() {
+                break;
+            }
+        }
+        (candidates, stats)
+    }
 }
 
 /// The input bits where a hidden fault's next stimulus differs from a
@@ -270,10 +297,14 @@ fn greedy_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvs_atpg::Podem;
+    use tvs_exec::ThreadPool;
     use tvs_fault::{FaultList, FaultSim, SlotSpec};
     use tvs_logic::Prng;
     use tvs_netlist::{Netlist, ScanView};
     use tvs_scan::{CaptureTransform, ObserveTransform, ScanChain};
+
+    use crate::{StitchConfig, StitchEngine, StrategyId};
 
     fn random_bits(rng: &mut Prng, len: usize) -> BitVec {
         (0..len).map(|_| rng.next_bool()).collect()
@@ -408,6 +439,154 @@ mod tests {
             }
         }
         score
+    }
+
+    /// The serial phase-A/B loop the claim loop replaced, kept as its
+    /// oracle: one call at a time on `provers[0]`, each published by PODEM
+    /// and charged as it returns.
+    fn serial_candidates(
+        st: &mut RunState<'_, '_>,
+        targets: &[usize],
+        constraint: &Cube,
+        observable: &[bool],
+    ) -> Vec<BitVec> {
+        let mut candidates: Vec<BitVec> = Vec::new();
+        for phase in 0..2 {
+            let mut attempts = 0usize;
+            for &idx in targets {
+                if st.failed_targets.contains(&idx) {
+                    continue;
+                }
+                if attempts >= st.cfg.max_targets_per_cycle {
+                    break;
+                }
+                attempts += 1;
+                let fault = st.sets.fault(idx);
+                let podem = &mut st.provers[0];
+                let outcome = if phase == 0 {
+                    podem.generate_observable(fault, constraint, Some(observable))
+                } else {
+                    podem.generate(fault, constraint)
+                };
+                st.budget.charge(1 + u64::from(podem.last_backtracks()));
+                match outcome {
+                    PodemResult::Test(cube) => {
+                        let bits = cube.random_fill(&mut st.rng);
+                        if !st.cfg.strategy.resolve().is_greedy() {
+                            return vec![bits];
+                        }
+                        candidates.push(bits);
+                        if candidates.len() >= st.cfg.candidates {
+                            break;
+                        }
+                    }
+                    PodemResult::Untestable | PodemResult::Aborted => {
+                        if phase == 1 {
+                            st.failed_targets.insert(idx);
+                        }
+                    }
+                }
+            }
+            if !candidates.is_empty() {
+                break;
+            }
+        }
+        candidates
+    }
+
+    /// The published PODEM work so far: `atpg.backtracks`,
+    /// `atpg.podem_evals`. No other test of this crate publishes PODEM
+    /// work, so a difference between two reads is the work published in
+    /// between.
+    fn published_work() -> (u64, u64) {
+        (
+            tvs_exec::counter("atpg.backtracks").get(),
+            tvs_exec::counter("atpg.podem_evals").get(),
+        )
+    }
+
+    #[test]
+    fn claim_loop_matches_the_serial_select_loop() {
+        let mut rng = Prng::seed_from_u64(0xC1A1);
+        let mut circuits = vec![tvs_circuits::fig1()];
+        for name in ["s444", "s526", "s641", "s953"] {
+            circuits.push(tvs_circuits::profile(name).expect("profile").build());
+        }
+        // Rounds whose phase A found nothing, and whose phase B found a
+        // test.
+        let (mut a_failed, mut b_found) = (0, 0);
+        for netlist in &circuits {
+            let eng = StitchEngine::new(netlist).expect("sequential circuit");
+            for strategy in [StrategyId::MostFaults, StrategyId::Random] {
+                let cfg = StitchConfig {
+                    strategy,
+                    threads: 1,
+                    ..StitchConfig::default()
+                };
+                let mut st = RunState::new(&eng, &cfg, None).expect("run state");
+                let l = st.l();
+                for threads in [1, 2, 3, 8] {
+                    st.pool = ThreadPool::new(threads);
+                    st.provers = (0..threads)
+                        .map(|_| Podem::with_config(netlist, &eng.view, cfg.podem))
+                        .collect();
+                    for round in 0..12 {
+                        let first = round == 0;
+                        // Odd rounds shift one bit and leave about four
+                        // targets eligible, so phase A often finds nothing.
+                        let (k, keep) = if round % 2 == 1 {
+                            (1, 4 * 1024 / st.sets.len().max(1))
+                        } else {
+                            (1 + rng.gen_range(0..l), 682)
+                        };
+                        st.good_image = random_bits(&mut rng, l);
+                        st.failed_targets = st
+                            .sets
+                            .uncaught_indices()
+                            .into_iter()
+                            .filter(|_| rng.gen_range(0..1024) >= keep)
+                            .collect();
+                        let constraint = st.constraint(k, first);
+                        let observable = st.observable_flags(if first { l } else { k });
+                        let targets = st.ordered_targets();
+                        let saved = (st.rng.clone(), st.budget, st.failed_targets.clone());
+
+                        let before = published_work();
+                        let want = serial_candidates(&mut st, &targets, &constraint, &observable);
+                        let after = published_work();
+                        let want_work = (after.0 - before.0, after.1 - before.1);
+                        let want_state =
+                            (st.rng.state(), st.budget.spent(), st.failed_targets.clone());
+
+                        let spent = saved.1.spent();
+                        (st.rng, st.budget, st.failed_targets) = saved;
+                        let before = published_work();
+                        let (got, stats) = st.candidates(&targets, &constraint, &observable);
+                        let after = published_work();
+                        let got_work = (after.0 - before.0, after.1 - before.1);
+                        let got_state =
+                            (st.rng.state(), st.budget.spent(), st.failed_targets.clone());
+
+                        let at = format!(
+                            "{} {strategy:?} {threads} threads round {round} k={k}",
+                            netlist.name()
+                        );
+                        assert_eq!(got, want, "{at}: candidates");
+                        assert_eq!(got_state, want_state, "{at}: PRNG, budget, failed targets");
+                        assert_eq!(got_work, want_work, "{at}: published work");
+                        // Each consumed call is charged 1 + its backtracks.
+                        let consumed = stats.iter().sum::<usize>() as u64;
+                        assert_eq!(got_state.1 - spent, consumed + got_work.0, "{at}");
+                        a_failed += usize::from(stats[0] == 0);
+                        b_found += usize::from(stats[2] > 0);
+                    }
+                }
+            }
+        }
+        assert!(
+            a_failed > 0 && b_found > 0,
+            "phase B never found a test: {a_failed} {b_found}"
+        );
     }
 
     #[test]

@@ -138,6 +138,40 @@ fn podem_abort_storm_degrades_to_a_complete_deterministic_run() {
 }
 
 #[test]
+fn podem_abort_window_lands_on_the_same_calls_at_any_thread_count() {
+    let _guard = serialized();
+    let netlist = circuits::profile("s444").expect("profile").build();
+    let faults = tvs::fault::FaultList::collapsed(&netlist);
+    // The site is keyed by the fault's site gate, so a one-gate window
+    // aborts every call on that gate's faults and no other, whichever
+    // thread makes the call and whether or not its outcome is kept.
+    let gate = faults.faults()[faults.len() / 2].site.gate.index() as u64;
+    let run_once = |threads: usize| {
+        let _armed = Armed::site(
+            "atpg.podem.abort",
+            Trigger {
+                after: gate,
+                count: 1,
+            },
+        );
+        let report = run(&netlist, &config(threads)).expect("an abort is a soft degradation");
+        assert!(
+            inject::fired_count("atpg.podem.abort") > 0,
+            "the abort window must actually fire"
+        );
+        report
+    };
+    let report = run_once(1);
+    assert_ne!(
+        report,
+        run(&netlist, &config(1)).expect("unarmed run"),
+        "the aborted calls must change the run"
+    );
+    assert_eq!(report, run_once(2), "abort window diverged at 2 threads");
+    assert_eq!(report, run_once(8), "abort window diverged at 8 threads");
+}
+
+#[test]
 fn corrupted_hidden_chain_image_stays_deterministic() {
     let _guard = serialized();
     let netlist = circuits::profile("s444").expect("profile").build();
