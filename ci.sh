@@ -57,6 +57,12 @@ done
 # so only the counter can catch a config drift that does it.
 "$TVS" run "$PROGS/s1196.bench" --stats > "$PROGS/s1196.stats"
 awk '$1 == "atpg.podem_reused" && $2 > 0 { ok = 1 } END { exit !ok }' "$PROGS/s1196.stats"
+# A PODEM backtrack restores the trail to the flipped decision's mark
+# instead of draining each popped input back to X (DESIGN.md §11.9). No
+# output byte shows it either: s1196 reads 10.12 M evaluations, and the
+# reassigning undo 16.13 M.
+awk '$1 == "atpg.podem_evals" && $2 <= 12000000 { ok = 1 } END { exit !ok }' \
+  "$PROGS/s1196.stats"
 # Candidate scoring and cycle classification run on the run's own
 # simulation session (DESIGN.md §11.6), every PODEM call's work is a
 # function of its fault and constraint (§11.7), and the claim loop
@@ -79,9 +85,10 @@ for c in sim.gates_evaluated fault.slots_simulated atpg.podem_evals atpg.backtra
   done
 done
 # PODEM opens each call over the fault's region, not the whole netlist
-# (DESIGN.md §11.7). No output byte shows it, so the evaluation count
-# must: s1423 reads 4.31 M, and a whole-netlist opening or drain 19.3 M.
-awk '$1 == "atpg.podem_evals" && $2 <= 6500000 { ok = 1 } END { exit !ok }' \
+# (DESIGN.md §11.7), and backtracks by trail restore (§11.9). No output
+# byte shows either, so the evaluation count must: s1423 reads 2.95 M,
+# the reassigning undo 4.31 M and a whole-netlist opening or drain 19.3 M.
+awk '$1 == "atpg.podem_evals" && $2 <= 3500000 { ok = 1 } END { exit !ok }' \
   "$PROGS/s1423.t1.stats"
 emit_and_interpret s5378  --budget 4000000
 emit_and_interpret s9234  --budget 8000000

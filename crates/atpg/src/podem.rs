@@ -80,6 +80,9 @@ struct Decision {
     input: usize,
     value: bool,
     flipped: bool,
+    /// The trail length before the input was assigned: restoring to it
+    /// returns the planes to the state the decision was made in.
+    mark: usize,
 }
 
 /// Which value plane an objective lives on.
@@ -137,10 +140,16 @@ pub struct Podem<'a> {
     base: ThreeValSim<'a>,
     /// The constraint `base` was implied from (`None` before any call).
     base_cube: Option<Cube>,
-    /// Gates whose planes differ from `base` since the last restore, each
-    /// listed once (`on_trail` marks them).
-    trail: Vec<GateId>,
-    on_trail: Vec<bool>,
+    /// Every write since the call opened, with the pair it overwrote,
+    /// oldest first. A backtrack restores it down to a decision's mark; the
+    /// next call's `rebase` restores it all (DESIGN.md §11.9).
+    trail: Vec<(GateId, Logic, Logic)>,
+    /// The gates whose opening pair need not be their gate function: the
+    /// site gate when it is combinational, and the site's consumers.
+    specials: Vec<GateId>,
+    /// Gates the call has evaluated (only the specials' flags are read); a
+    /// restore leaves the flags.
+    evaluated: Vec<bool>,
     /// Gates reachable from the current fault site.
     cone: Vec<bool>,
     /// The combinational gates of the cone, in `view.order()` order: the
@@ -201,7 +210,8 @@ impl<'a> Podem<'a> {
             base: ThreeValSim::new(netlist, view),
             base_cube: None,
             trail: Vec::new(),
-            on_trail: vec![false; n],
+            specials: Vec::new(),
+            evaluated: vec![false; n],
             cone: vec![false; n],
             cone_gates: Vec::new(),
             cone_outputs: Vec::new(),
@@ -353,47 +363,11 @@ impl<'a> Podem<'a> {
             );
         }
 
-        let mut stack: Vec<Decision> = Vec::new();
+        let mut stack = Vec::new();
         let mut backtracks = 0u32;
-
-        let result = 'solve: loop {
-            if self.detected() {
-                break 'solve PodemResult::Test(self.extract_cube());
-            }
-            match self.decide() {
-                Some((input, value)) => {
-                    stack.push(Decision {
-                        input,
-                        value,
-                        flipped: false,
-                    });
-                    self.assign(input, Logic::from(value));
-                }
-                None => {
-                    // Dead end: undo flipped decisions, flip the newest
-                    // unflipped one.
-                    backtracks += 1;
-                    if backtracks > self.config.backtrack_limit {
-                        break 'solve PodemResult::Aborted;
-                    }
-                    loop {
-                        match stack.pop() {
-                            None => break 'solve PodemResult::Untestable,
-                            Some(d) if d.flipped => {
-                                self.assign(d.input, Logic::X);
-                            }
-                            Some(d) => {
-                                self.assign(d.input, Logic::from(!d.value));
-                                stack.push(Decision {
-                                    input: d.input,
-                                    value: !d.value,
-                                    flipped: true,
-                                });
-                                break;
-                            }
-                        }
-                    }
-                }
+        let result = loop {
+            if let Some(result) = self.step(&mut stack, &mut backtracks) {
+                break result;
             }
         };
         self.last_backtracks = backtracks;
@@ -404,6 +378,42 @@ impl<'a> Podem<'a> {
                 evals: self.evals,
             },
         )
+    }
+
+    /// One move of the search: a verdict, or `None` after it made the next
+    /// decision or backtracked.
+    fn step(&mut self, stack: &mut Vec<Decision>, backtracks: &mut u32) -> Option<PodemResult> {
+        if self.detected() {
+            return Some(PodemResult::Test(self.extract_cube()));
+        }
+        if let Some((input, value)) = self.decide() {
+            stack.push(Decision {
+                input,
+                value,
+                flipped: false,
+                mark: self.trail.len(),
+            });
+            self.assign(input, Logic::from(value));
+            return None;
+        }
+        // Dead end: drop the flipped decisions, return to the state the
+        // newest unflipped one was made in, and flip it (DESIGN.md §11.9).
+        *backtracks += 1;
+        if *backtracks > self.config.backtrack_limit {
+            return Some(PodemResult::Aborted);
+        }
+        let Some(d) = std::iter::from_fn(|| stack.pop()).find(|d| !d.flipped) else {
+            return Some(PodemResult::Untestable);
+        };
+        self.restore(d.mark);
+        self.requeue_specials();
+        stack.push(Decision {
+            value: !d.value,
+            flipped: true,
+            ..d
+        });
+        self.assign(d.input, Logic::from(!d.value));
+        None
     }
 
     /// The fault installed by `reset` for the `generate` call in progress.
@@ -424,6 +434,11 @@ impl<'a> Podem<'a> {
         }
         self.reset(fault, observable);
         self.open_cone();
+        debug_assert!(
+            self.cone_gates.iter().all(|&g| self.specials.contains(&g)
+                || self.pair(g) == (self.good[g.index()], self.faulty[g.index()])),
+            "every cone gate but the specials opens at its gate function"
+        );
         true
     }
 
@@ -431,15 +446,11 @@ impl<'a> Podem<'a> {
     /// the previous call's writes, and re-implies the base plane only when
     /// the constraint differs from the last one.
     fn rebase(&mut self, constraint: &Cube) {
-        for g in self.trail.drain(..) {
-            let v = self.base.value(g);
-            self.good[g.index()] = v;
-            self.faulty[g.index()] = v;
-            self.on_trail[g.index()] = false;
-        }
         if self.base_cube.as_ref() == Some(constraint) {
+            self.restore(0);
             return;
         }
+        self.trail.clear();
         self.base.run(constraint);
         for g in self.netlist.gate_ids() {
             let v = self.base.value(g);
@@ -457,12 +468,18 @@ impl<'a> Podem<'a> {
         for g in self.region_gates.drain(..) {
             self.cone[g.index()] = false;
             self.region[g.index()] = false;
+            self.evaluated[g.index()] = false;
         }
         self.cone_gates.clear();
         self.cone_outputs.clear();
 
         let view = self.view;
         let seed = fault.site.gate;
+        self.specials.clear();
+        if self.order_pos[seed.index()] != u32::MAX {
+            self.specials.push(seed);
+        }
+        self.specials.extend_from_slice(view.comb_fanout(seed));
         let mut stack = std::mem::take(&mut self.walk);
         stack.clear();
         stack.push(seed);
@@ -562,19 +579,35 @@ impl<'a> Podem<'a> {
             || (self.faulty[f.index()].is_specified() && self.order_pos[f.index()] != u32::MAX)
     }
 
-    /// Sets `g`'s planes, recording it on the trail the next call undoes.
+    /// Sets `g`'s planes, recording the pair it overwrites on the trail.
     fn write(&mut self, g: GateId, good: Logic, faulty: Logic) {
         let i = g.index();
-        if !self.on_trail[i] {
-            self.on_trail[i] = true;
-            self.trail.push(g);
-        }
+        self.trail.push((g, self.good[i], self.faulty[i]));
         self.good[i] = good;
         self.faulty[i] = faulty;
     }
 
-    /// Assigns (or unassigns, with `Logic::X`) a combinational input and
-    /// propagates events forward.
+    /// Undoes the trail's writes down to length `mark`, newest first.
+    fn restore(&mut self, mark: usize) {
+        for (g, good, faulty) in self.trail.drain(mark..).rev() {
+            self.good[g.index()] = good;
+            self.faulty[g.index()] = faulty;
+        }
+    }
+
+    /// Queues every special the call has evaluated. A restore can return
+    /// one to its opening pair, which is not its gate function; the next
+    /// drain brings it back to the pair the search has seen since.
+    fn requeue_specials(&mut self) {
+        for k in 0..self.specials.len() {
+            let g = self.specials[k];
+            if self.evaluated[g.index()] {
+                self.enqueue(g);
+            }
+        }
+    }
+
+    /// Assigns a combinational input and propagates events forward.
     fn assign(&mut self, input: usize, value: Logic) {
         self.set_input(input, value);
         self.drain();
@@ -613,20 +646,32 @@ impl<'a> Podem<'a> {
     /// Queues `g`'s consumers inside the region; gates outside it never
     /// feed a gate the search reads.
     fn enqueue_fanout(&mut self, g: GateId) {
-        let view = self.view;
-        for &consumer in view.comb_fanout(g) {
-            if self.region[consumer.index()] && !self.queued[consumer.index()] {
-                self.queued[consumer.index()] = true;
-                self.buckets[view.level(consumer) as usize].push(consumer);
+        for &consumer in self.view.comb_fanout(g) {
+            if self.region[consumer.index()] {
+                self.enqueue(consumer);
             }
         }
     }
 
-    /// Evaluates `g` on both planes in one pass over its fanins. Outside
-    /// the fault's cone the planes coincide, so the good plane is evaluated
-    /// once and copied; only the fault-site gate substitutes a stuck value.
+    fn enqueue(&mut self, g: GateId) {
+        if !self.queued[g.index()] {
+            self.queued[g.index()] = true;
+            self.buckets[self.view.level(g) as usize].push(g);
+        }
+    }
+
+    /// [`pair`](Self::pair), counted, with `g` flagged as evaluated.
     fn eval_gate(&mut self, g: GateId) -> (Logic, Logic) {
         self.evals += 1;
+        self.evaluated[g.index()] = true;
+        self.pair(g)
+    }
+
+    /// `g`'s gate function on both planes, in one pass over its fanins.
+    /// Outside the fault's cone the planes coincide, so the good plane is
+    /// evaluated once and copied; only the fault-site gate substitutes a
+    /// stuck value.
+    fn pair(&self, g: GateId) -> (Logic, Logic) {
         let gate = self.netlist.gate(g);
         let (kind, fanin) = (gate.kind(), gate.fanin());
         let (good, faulty) = (&self.good, &self.faulty);
@@ -1463,6 +1508,163 @@ mod tests {
         assert!(
             seen.iter().all(|&n| n > 0),
             "every opening path must run: {seen:?}"
+        );
+    }
+
+    impl Podem<'_> {
+        /// [`step`](Podem::step) with the undo the trail restore replaced:
+        /// a backtrack reassigns each popped flipped decision's input to X
+        /// and drains, then flips the newest unflipped one from the state
+        /// that leaves. The oracle of the restore (DESIGN.md §11.9).
+        fn step_reassigning(
+            &mut self,
+            stack: &mut Vec<Decision>,
+            backtracks: &mut u32,
+        ) -> Option<PodemResult> {
+            if self.detected() {
+                return Some(PodemResult::Test(self.extract_cube()));
+            }
+            if let Some((input, value)) = self.decide() {
+                stack.push(Decision {
+                    input,
+                    value,
+                    flipped: false,
+                    mark: 0,
+                });
+                self.assign(input, Logic::from(value));
+                return None;
+            }
+            *backtracks += 1;
+            if *backtracks > self.config.backtrack_limit {
+                return Some(PodemResult::Aborted);
+            }
+            loop {
+                match stack.pop() {
+                    None => return Some(PodemResult::Untestable),
+                    Some(d) if d.flipped => self.assign(d.input, Logic::X),
+                    Some(d) => {
+                        self.assign(d.input, Logic::from(!d.value));
+                        stack.push(Decision {
+                            value: !d.value,
+                            flipped: true,
+                            ..d
+                        });
+                        return None;
+                    }
+                }
+            }
+        }
+    }
+
+    /// A phase-A shaped mask: every PO and a random suffix of the PPOs
+    /// observable.
+    fn random_mask(rng: &mut tvs_logic::Prng, view: &ScanView) -> Vec<bool> {
+        let cells = view.output_count() - view.po_count();
+        let first = view.po_count() + rng.gen_range(0..cells + 1);
+        (0..view.output_count())
+            .map(|o| o < view.po_count() || o >= first)
+            .collect()
+    }
+
+    /// Two provers run the same random (fault, constraint, mask, limit)
+    /// calls, one restoring the trail on a backtrack and one reassigning
+    /// popped inputs to X. After the opening and after every decision and
+    /// every flip, both planes of every gate must agree, and so must the
+    /// verdict, the cube and the backtrack count; `solve` must then give
+    /// the stepped verdict and count.
+    #[test]
+    fn trail_restore_matches_reassigning_popped_inputs() {
+        let mut circuits = vec![fig1()];
+        for name in ["s444", "s526", "s641", "s953"] {
+            circuits.push(tvs_circuits::profile(name).expect("profile").build());
+        }
+        let mut rng = tvs_logic::Prng::seed_from_u64(0x7A11);
+        // Flips seen on [unpinned source stems, DFF pin 0, combinational
+        // stems, combinational pins], and calls at each limit.
+        let mut flips = [0usize; 4];
+        let mut limits = [0usize; 3];
+        for netlist in &circuits {
+            let view = netlist.scan_view().unwrap();
+            let mut podem = Podem::new(netlist, &view);
+            let mut reference = podem.fresh();
+            let faults = FaultList::full(netlist);
+            let ppis = view.ppis();
+            for round in 0..120 {
+                let constraint = if round % 4 == 0 {
+                    Cube::unspecified(view.input_count())
+                } else {
+                    random_constraint(&mut rng, &view)
+                };
+                let mask = (rng.gen_range(0..3) != 0).then(|| random_mask(&mut rng, &view));
+                let stuck = if rng.next_bool() {
+                    StuckAt::One
+                } else {
+                    StuckAt::Zero
+                };
+                let fault = match rng.gen_range(0..4) {
+                    0 => Fault::stem(ppis[rng.gen_range(0..ppis.len())], stuck),
+                    1 => Fault::branch(ppis[rng.gen_range(0..ppis.len())], 0, stuck),
+                    _ => faults.faults()[rng.gen_range(0..faults.len())],
+                };
+                let kind = match (view.input_index_of(fault.site.gate), fault.site.pin) {
+                    (Some(i), None) if constraint[i] == Logic::X => Some(0),
+                    (Some(_), Some(_)) => Some(1),
+                    (None, None) => Some(2),
+                    (None, Some(_)) => Some(3),
+                    (Some(_), None) => None,
+                };
+                let level = rng.gen_range(0..3);
+                limits[level] += 1;
+                let limit = [2, 16, 256][level];
+                podem.config.backtrack_limit = limit;
+                reference.config.backtrack_limit = limit;
+                let what = format!(
+                    "{} under {constraint} at limit {limit}",
+                    fault.display_in(netlist)
+                );
+
+                let obs = mask.as_deref();
+                let opened = podem.open(fault, &constraint, obs);
+                assert_eq!(opened, reference.open(fault, &constraint, obs), "{what}");
+                if !opened {
+                    continue;
+                }
+                let (mut stack, mut ref_stack) = (Vec::new(), Vec::new());
+                let (mut backtracks, mut ref_backtracks) = (0, 0);
+                let mut step = 0;
+                let verdict = loop {
+                    assert!(
+                        podem.good == reference.good && podem.faulty == reference.faulty,
+                        "{what}: planes differ after step {step}"
+                    );
+                    let before = backtracks;
+                    let verdict = podem.step(&mut stack, &mut backtracks);
+                    let ref_verdict =
+                        reference.step_reassigning(&mut ref_stack, &mut ref_backtracks);
+                    assert_eq!(verdict, ref_verdict, "{what}: step {step}");
+                    assert_eq!(backtracks, ref_backtracks, "{what}: step {step}");
+                    if let Some(verdict) = verdict {
+                        break verdict;
+                    }
+                    if backtracks > before {
+                        if let Some(kind) = kind {
+                            flips[kind] += 1;
+                        }
+                    }
+                    step += 1;
+                };
+                let (solved, _) = podem.solve(fault, &constraint, obs);
+                assert_eq!(solved, verdict, "{what}");
+                assert_eq!(podem.last_backtracks(), backtracks, "{what}");
+            }
+        }
+        assert!(
+            flips.iter().all(|&n| n > 0),
+            "every site kind must flip: {flips:?}"
+        );
+        assert!(
+            limits.iter().all(|&n| n > 0),
+            "every limit must run: {limits:?}"
         );
     }
 

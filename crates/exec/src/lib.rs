@@ -7,9 +7,8 @@
 //!
 //! * [`ThreadPool`] — a std-only work-stealing thread pool with
 //!   [`scope`](ThreadPool::scope)-based fan-out over borrowed data and
-//!   order-preserving [`map`](ThreadPool::map) /
-//!   [`map_chunked`](ThreadPool::map_chunked) reductions. Results always come
-//!   back in input order, so parallel runs stay **bit-identical** to
+//!   the order-preserving [`map`](ThreadPool::map) reduction. Results always
+//!   come back in input order, so parallel runs stay **bit-identical** to
 //!   sequential ones (the workspace's seeded-determinism invariant,
 //!   DESIGN.md §6.4). At `threads = 1` every entry point degrades to a plain
 //!   sequential loop on the calling thread — the guaranteed fallback.
@@ -26,7 +25,7 @@
 //!
 //! # Determinism contract
 //!
-//! Work items handed to `map`/`map_chunked` must be pure functions of their
+//! Work items handed to `map` must be pure functions of their
 //! inputs (no shared mutable state, no ambient randomness). Under that
 //! contract the pool guarantees the reduced output is independent of thread
 //! count, scheduling order and steal pattern, because reduction happens by

@@ -230,42 +230,6 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Like [`map`](Self::map), but spawns one task per `chunk` consecutive
-    /// items instead of one per item — the right granularity when individual
-    /// items are cheap (e.g. 64-fault simulation words).
-    pub fn map_chunked<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let chunk = chunk.max(1);
-        if self.threads <= 1 || items.len() <= chunk {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-        out.resize_with(items.len(), || None);
-        let f = &f;
-        self.scope(|s| {
-            for (c, (item_chunk, out_chunk)) in
-                items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-            {
-                let base = c * chunk;
-                s.spawn(move || {
-                    for (j, (item, slot)) in item_chunk.iter().zip(out_chunk.iter_mut()).enumerate()
-                    {
-                        *slot = Some(f(base + j, item));
-                    }
-                });
-            }
-        });
-        out.into_iter()
-            // scope() re-raises any task panic first, so every slot is
-            // filled here. lint:allow(SRC005)
-            .map(|r| r.expect("every spawned task completed"))
-            .collect()
-    }
-
     fn push_task(&self, task: Task) {
         let slot = self.deal.fetch_add(1, Ordering::Relaxed);
         self.shared.push(slot, task);
@@ -459,16 +423,6 @@ mod tests {
         let pool = ThreadPool::new(4);
         let out = pool.map(&items, |i, x| (i, *x));
         assert_eq!(out, vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
-    }
-
-    #[test]
-    fn map_chunked_matches_map() {
-        let items: Vec<u64> = (0..1000).collect();
-        let seq = ThreadPool::new(1).map(&items, |i, x| x + i as u64);
-        for chunk in [1, 7, 64, 2000] {
-            let pool = ThreadPool::new(4);
-            assert_eq!(pool.map_chunked(&items, chunk, |i, x| x + i as u64), seq);
-        }
     }
 
     #[test]
