@@ -184,6 +184,11 @@ REF_ADDR=$(await_addr "$FLEET/ref.log" tvs-serve)
   --out "$FLEET/ref-s1423.json" --seed 3 "$FLEET/s1423.bench"
 "$TVS_CLIENT" --addr "$REF_ADDR" submit --wait --fetch \
   --out "$FLEET/ref-s444.json" --seed 3 "$FLEET/s444.bench"
+# The solo daemon's `lint` answer for a deny-level netlist; the coordinator
+# must print the same bytes below.
+printf 'INPUT(a)\nOUTPUT(y)\nb = AND(a, c)\nc = NOT(b)\ny = AND(a, b)\n' \
+  > "$FLEET/cyclic.bench"
+"$TVS_CLIENT" --addr "$REF_ADDR" lint "$FLEET/cyclic.bench" > "$FLEET/ref-lint.out"
 "$TVS_CLIENT" --addr "$REF_ADDR" shutdown
 wait "$REF_PID"
 
@@ -201,6 +206,18 @@ W2_ADDR=$(await_addr "$FLEET/w2.log" tvs-serve)
 COORD_PID=$!
 FLEET_ADDR=$(await_addr "$FLEET/fleet.log" tvs-fleet)
 fclient() { "$TVS_CLIENT" --addr "$FLEET_ADDR" "$@"; }
+
+# One lint op and one admission gate: the coordinator's `lint` output is
+# byte-identical to the solo daemon's, and the cyclic netlist is rejected
+# on submit and again (from the rejection cache) on resubmit.
+fclient lint "$FLEET/cyclic.bench" > "$FLEET/lint.out"
+cmp "$FLEET/ref-lint.out" "$FLEET/lint.out"
+for attempt in 1 2; do
+  if fclient submit "$FLEET/cyclic.bench" 2> "$FLEET/reject$attempt.err"; then
+    echo "deny-level fleet submit $attempt was admitted" >&2; exit 1
+  fi
+  grep -q '\[rejected\]' "$FLEET/reject$attempt.err"
+done
 
 # Submit the slow job, map its home worker from the coordinator's routing
 # line to a PID, and kill that worker mid-run.

@@ -32,15 +32,22 @@
 //! sequence. The key touched most recently is never evicted, even when it
 //! alone exceeds the cap. Counters: `cache.evictions` (keys evicted),
 //! `cache.bytes` (bytes resident after the latest mutation).
+//!
+//! # Admission
+//!
+//! Every daemon keys a submission through one [`AdmissionGate`]: parse,
+//! identity, then the deny-level lint verdict, cached per key. The worker's
+//! job table and the fleet coordinator each own one, so the coordinator's
+//! key agrees with the worker's because both run this code.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use tvs_delta::{cone_table, interface_signature, netlist_root, ConeManifest};
-use tvs_netlist::Netlist;
+use tvs_netlist::{bench, Netlist};
 use tvs_stitch::{fnv1a, StitchConfig};
 
 use crate::error::CoreError;
@@ -141,6 +148,115 @@ impl SubmissionIdentity {
     }
 }
 
+/// The lint admission gate: turns `.bench` text into a netlist and its
+/// [`SubmissionIdentity`], or into the typed rejection a deny-level
+/// finding earns.
+///
+/// Rejections are a pure function of the submission, so they are cached
+/// per key like artifacts: resubmitting a denied netlist never re-runs the
+/// analysis. Keys that passed are memoized too, so resubmissions and cache
+/// hits skip the analysis entirely.
+#[derive(Debug)]
+pub struct AdmissionGate {
+    rejected: &'static str,
+    rejected_cache_hits: &'static str,
+    verdicts: Mutex<Verdicts>,
+}
+
+#[derive(Debug, Default)]
+struct Verdicts {
+    /// Rendered diagnostics per rejected key.
+    rejections: BTreeMap<u64, String>,
+    /// Keys that already passed the gate.
+    admitted: BTreeSet<u64>,
+}
+
+impl AdmissionGate {
+    /// A gate with empty verdict caches that counts fresh rejections under
+    /// `rejected` and rejection-cache hits under `rejected_cache_hits`.
+    pub fn new(rejected: &'static str, rejected_cache_hits: &'static str) -> AdmissionGate {
+        AdmissionGate {
+            rejected,
+            rejected_cache_hits,
+            verdicts: Mutex::new(Verdicts::default()),
+        }
+    }
+
+    /// Parses `bench_text` and computes its identity under `config`, then
+    /// runs the structural design rules and the testability dataflow once
+    /// per key.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Netlist`] when the source does not parse, and
+    /// [`CoreError::Rejected`] when deny-level findings block admission.
+    /// A structural builder error is such a finding; it is keyed on the
+    /// raw text, since the build produced no canonical form.
+    pub fn admit(
+        &self,
+        name: &str,
+        bench_text: &str,
+        config: &StitchConfig,
+    ) -> Result<(Netlist, SubmissionIdentity), CoreError> {
+        let netlist = match bench::parse(name, bench_text) {
+            Ok(netlist) => netlist,
+            Err(e) => {
+                return Err(match tvs_lint::netlist_error_diagnostics(&e) {
+                    Some(diags) => self.reject(
+                        ArtifactKey::compute(bench_text, config),
+                        tvs_lint::render_json(&diags),
+                    ),
+                    None => CoreError::Netlist(e.to_string()),
+                });
+            }
+        };
+        let identity = SubmissionIdentity::of(&netlist, &bench::to_string(&netlist), config);
+        let key = identity.key;
+        {
+            let verdicts = lock(&self.verdicts);
+            if let Some(hit) = self.cached(&verdicts, key) {
+                return Err(hit);
+            }
+            if verdicts.admitted.contains(&key.0) {
+                return Ok((netlist, identity));
+            }
+        }
+        // The analysis runs outside the lock: it is pure.
+        let diags =
+            tvs_lint::admission_diagnostics(&netlist, &tvs_lint::TestabilityConfig::default());
+        if tvs_lint::has_deny(&diags) {
+            return Err(self.reject(key, tvs_lint::render_json(&diags)));
+        }
+        lock(&self.verdicts).admitted.insert(key.0);
+        Ok((netlist, identity))
+    }
+
+    /// The cached rejection for `key`, if any, counted as a cache hit.
+    fn cached(&self, verdicts: &Verdicts, key: ArtifactKey) -> Option<CoreError> {
+        let diagnostics = verdicts.rejections.get(&key.0)?.clone();
+        tvs_exec::counter(self.rejected_cache_hits).incr();
+        Some(CoreError::Rejected {
+            diagnostics,
+            cached: true,
+        })
+    }
+
+    /// Records a fresh rejection for `key`, or returns the cached one if
+    /// another submission raced this one to the verdict.
+    fn reject(&self, key: ArtifactKey, diagnostics: String) -> CoreError {
+        let mut verdicts = lock(&self.verdicts);
+        if let Some(hit) = self.cached(&verdicts, key) {
+            return hit;
+        }
+        tvs_exec::counter(self.rejected).incr();
+        verdicts.rejections.insert(key.0, diagnostics.clone());
+        CoreError::Rejected {
+            diagnostics,
+            cached: false,
+        }
+    }
+}
+
 /// The LRU ledger: logical recency ticks and resident bytes per key,
 /// plus the byte cap itself — shared across clones so the cap can be
 /// adjusted on a live store (the daemon's `cache-cap` op).
@@ -179,9 +295,9 @@ pub struct ArtifactStore {
     ledger: Arc<Mutex<Ledger>>,
 }
 
-fn lock(m: &Mutex<Ledger>) -> MutexGuard<'_, Ledger> {
-    // The ledger is a plain map; every mutation is complete at any panic
-    // point, so poison carries no signal here.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // The ledger and the verdict maps are plain maps; every mutation is
+    // complete at any panic point, so poison carries no signal here.
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

@@ -13,12 +13,12 @@
 //! 3. otherwise the run is admitted to the bounded queue (or rejected with
 //!    [`CoreError::Busy`]) and its artifact is persisted on completion.
 //!
-//! Submissions are **lint-gated**: before a fresh engine run is admitted,
-//! the structural design rules and the testability dataflow run over the
-//! parsed netlist, and any deny-level finding rejects the job with
-//! [`CoreError::Rejected`] carrying the diagnostics as JSON — no engine run
-//! starts, and the verdict is cached per key so identical resubmissions are
-//! rejected without re-analysis.
+//! Submissions are **lint-gated** by the table's [`AdmissionGate`]: before
+//! a fresh engine run is admitted, the structural design rules and the
+//! testability dataflow run over the parsed netlist, and any deny-level
+//! finding rejects the job with [`CoreError::Rejected`] carrying the
+//! diagnostics as JSON — no engine run starts, and the verdict is cached
+//! per key so identical resubmissions are rejected without re-analysis.
 //!
 //! Submissions are **delta-aware**: a cache miss searches the store for the
 //! nearest cached ancestor manifest (same interface and configuration, most
@@ -43,17 +43,17 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use tvs_delta::{plan_for, ConeManifest};
 use tvs_exec::{JobHandle, JobQueue, QueueFull};
-use tvs_netlist::{bench, Netlist};
+use tvs_netlist::Netlist;
 use tvs_stitch::{
     PrescreenRecord, PrescreenTrace, RunOptions, RunProgress, Snapshot, StitchConfig, StitchEngine,
     StitchReport, Termination,
 };
 
-use crate::cache::{ArtifactKey, ArtifactStore, SubmissionIdentity};
+use crate::cache::{AdmissionGate, ArtifactKey, ArtifactStore, SubmissionIdentity};
 use crate::error::CoreError;
 use crate::json::Value;
 
@@ -102,12 +102,6 @@ struct TableInner {
     jobs: BTreeMap<String, JobEntry>,
     /// Live (not yet finished) job per key — the single-flight index.
     by_key: BTreeMap<u64, String>,
-    /// Lint-rejection verdicts per key (diagnostics JSON). Rejections are a
-    /// pure function of the submission, so they are cached like artifacts —
-    /// resubmitting a denied netlist never re-runs the analysis.
-    rejections: BTreeMap<u64, String>,
-    /// Keys that already passed the lint gate (the accept-side memo).
-    admitted: BTreeSet<u64>,
     /// Engine runs in flight per client identity (quota accounting).
     in_flight: BTreeMap<String, usize>,
     next_id: u64,
@@ -139,6 +133,7 @@ impl Admission {
 pub struct JobTable {
     queue: JobQueue<JobResult>,
     store: ArtifactStore,
+    gate: AdmissionGate,
     inner: Arc<Mutex<TableInner>>,
     /// Cycles between checkpoint snapshots while a job runs (0 = never).
     checkpoint_every: usize,
@@ -164,6 +159,7 @@ impl JobTable {
         JobTable {
             queue: JobQueue::new(workers, capacity),
             store,
+            gate: AdmissionGate::new("serve.rejected", "serve.rejected_cache_hits"),
             inner: Arc::new(Mutex::new(TableInner::default())),
             checkpoint_every,
             client_quota: 0,
@@ -203,37 +199,6 @@ impl JobTable {
         self.queue.drain();
     }
 
-    /// Records a fresh lint rejection for `key` (or returns the cached one
-    /// if another submission raced this one to the verdict).
-    fn reject(&self, key: ArtifactKey, diagnostics: String) -> CoreError {
-        let mut inner = lock(&self.inner);
-        if let Some(existing) = inner.rejections.get(&key.0) {
-            tvs_exec::counter("serve.rejected_cache_hits").incr();
-            return CoreError::Rejected {
-                diagnostics: existing.clone(),
-                cached: true,
-            };
-        }
-        tvs_exec::counter("serve.rejected").incr();
-        inner.rejections.insert(key.0, diagnostics.clone());
-        CoreError::Rejected {
-            diagnostics,
-            cached: false,
-        }
-    }
-
-    /// The cached rejection for `key`, if any.
-    fn cached_rejection(&self, key: ArtifactKey) -> Option<CoreError> {
-        let inner = lock(&self.inner);
-        inner.rejections.get(&key.0).map(|diagnostics| {
-            tvs_exec::counter("serve.rejected_cache_hits").incr();
-            CoreError::Rejected {
-                diagnostics: diagnostics.clone(),
-                cached: true,
-            }
-        })
-    }
-
     /// Submits `.bench` source for compression under `config`, optionally
     /// on behalf of a named `client` (quota accounting).
     ///
@@ -256,43 +221,8 @@ impl JobTable {
         client: Option<&str>,
     ) -> Result<(String, Admission), CoreError> {
         tvs_exec::counter("serve.submits").incr();
-        let netlist = match bench::parse(name, bench_text) {
-            Ok(netlist) => netlist,
-            Err(e) => {
-                return Err(match tvs_lint::netlist_error_diagnostics(&e) {
-                    // Structural builder errors are design-rule findings;
-                    // the raw source text stands in for the canonical form
-                    // the build never produced.
-                    Some(diags) => {
-                        let key = ArtifactKey::compute(bench_text, &config);
-                        match self.cached_rejection(key) {
-                            Some(hit) => hit,
-                            None => self.reject(key, tvs_lint::render_json(&diags)),
-                        }
-                    }
-                    None => CoreError::Netlist(e.to_string()),
-                });
-            }
-        };
-        let canonical = bench::to_string(&netlist);
-        let identity = SubmissionIdentity::of(&netlist, &canonical, &config);
+        let (netlist, identity) = self.gate.admit(name, bench_text, &config)?;
         let key = identity.key;
-
-        if let Some(hit) = self.cached_rejection(key) {
-            return Err(hit);
-        }
-
-        // Lint gate: structural rules + testability dataflow, run outside
-        // the table lock (it is pure analysis). Accepted keys are memoized
-        // so resubmissions and cache hits skip the analysis entirely.
-        if !lock(&self.inner).admitted.contains(&key.0) {
-            let diags =
-                tvs_lint::admission_diagnostics(&netlist, &tvs_lint::TestabilityConfig::default());
-            if tvs_lint::has_deny(&diags) {
-                return Err(self.reject(key, tvs_lint::render_json(&diags)));
-            }
-            lock(&self.inner).admitted.insert(key.0);
-        }
 
         // Fast path checks happen under the table lock so two identical
         // submissions cannot both decide to start an engine run.

@@ -30,6 +30,6 @@ mod error;
 pub mod jobs;
 pub mod json;
 
-pub use cache::{ArtifactKey, ArtifactStore, SubmissionIdentity};
+pub use cache::{AdmissionGate, ArtifactKey, ArtifactStore, SubmissionIdentity};
 pub use error::CoreError;
 pub use jobs::{render_artifact, Admission, JobStatus, JobTable};

@@ -18,11 +18,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use tvs_serve::json::{self, Value};
-use tvs_serve::proto::{read_frame, write_frame, ProtoError, PROTO_VERSION};
-use tvs_serve::ServeError;
-
-/// How often an interruptible read re-checks its interrupt condition.
-const POLL: Duration = Duration::from_millis(50);
+use tvs_serve::proto::{read_frame, stamp_version, write_frame, ProtoError};
+use tvs_serve::{ServeError, POLL};
 
 /// Why a forwarded request produced no usable response.
 #[derive(Debug)]
@@ -132,13 +129,7 @@ impl WorkerConn {
     }
 
     fn send(&mut self, request: &Value) -> Result<(), ConnFailure> {
-        let mut request = request.clone();
-        if let Value::Obj(pairs) = &mut request {
-            if !pairs.iter().any(|(k, _)| k == "v") {
-                pairs.push(("v".into(), Value::num_u64(PROTO_VERSION)));
-            }
-        }
-        write_frame(&mut self.writer, &request.to_text()).map_err(|e| match e {
+        write_frame(&mut self.writer, &stamp_version(request).to_text()).map_err(|e| match e {
             ProtoError::Io(io) => ConnFailure::Lost(format!("send: {io}")),
             other => ConnFailure::Lost(other.to_string()),
         })

@@ -18,11 +18,17 @@
 //! often) it is retried. Two clients racing the same dead job may both
 //! resubmit; the worker's single-flight table collapses the race.
 //!
-//! **Lint-gated admission.** Before routing, the coordinator runs the same
-//! deny-level admission analysis a worker would (structural rules plus the
-//! testability dataflow): a rejected netlist gets the typed `rejected`
-//! error locally — cached per artifact key — and never reaches a worker,
-//! and the `lint` op is answered locally for the same reason.
+//! **Lint-gated admission.** Before routing, the coordinator runs its own
+//! [`AdmissionGate`] — the type a worker's job table gates with, so the key
+//! and the verdict are the worker's by construction: a rejected netlist
+//! gets the typed `rejected` error locally — cached per artifact key — and
+//! never reaches a worker, and the `lint` op is answered locally by the
+//! worker's own [`lint_op`] for the same reason.
+//!
+//! **One front end.** The accept loop, the request prelude and the drain
+//! are [`serve_connections`], the worker daemon's own loop; this file adds
+//! only the op handler and the health monitor thread (which keeps it on
+//! the SRC003 allowlist).
 //!
 //! **Busy spillover.** A `busy` refusal means the home worker did *not*
 //! admit the job, so trying the next successor cannot start a duplicate
@@ -32,27 +38,21 @@
 //! (`tvs-fleet: job f1 key 00ab… -> worker 127.0.0.1:7071`) so operators —
 //! and the CI smoke test — can map jobs to worker processes.
 
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use tvs_core::json::{self, Value};
-use tvs_core::{ArtifactKey, SubmissionIdentity};
-use tvs_netlist::bench;
-use tvs_serve::proto::{read_frame, write_frame, ProtoError};
-use tvs_serve::{check_version, config_from_wire, ServeError};
+use tvs_core::json::Value;
+use tvs_core::{AdmissionGate, ArtifactKey};
+use tvs_serve::{config_from_wire, lint_op, serve_connections, stats_report, ServeError, POLL};
 
 use crate::conn::{ConnFailure, WorkerConn};
 use crate::error::FleetError;
 use crate::health::WorkerSlot;
 use crate::ring::Ring;
-
-/// How often blocked reads and the accept loop re-check the draining flag.
-const POLL: Duration = Duration::from_millis(50);
 
 /// Construction parameters for [`Coordinator::bind`].
 #[derive(Debug, Clone)]
@@ -125,12 +125,9 @@ struct Fleet {
     ring: Ring,
     slots: Vec<Arc<WorkerSlot>>,
     jobs: Mutex<JobMap>,
-    /// Lint admission verdicts by artifact key: rendered diagnostics for
-    /// rejected keys, plus a memo of keys already analyzed clean — so a
-    /// resubmitted netlist never pays for the dataflow twice and a
-    /// deny-level one never burns a worker round-trip.
-    rejections: Mutex<BTreeMap<u64, String>>,
-    admitted: Mutex<BTreeSet<u64>>,
+    /// The worker's lint admission gate, run here so a deny-level netlist
+    /// never burns a worker round-trip.
+    gate: AdmissionGate,
     probe_timeout: Duration,
     fail_threshold: u32,
     cache_cap_bytes: u64,
@@ -174,8 +171,7 @@ impl Coordinator {
                 ring,
                 slots,
                 jobs: Mutex::new(JobMap::default()),
-                rejections: Mutex::new(BTreeMap::new()),
-                admitted: Mutex::new(BTreeSet::new()),
+                gate: AdmissionGate::new("fleet.rejected", "fleet.rejected_cache_hits"),
                 probe_timeout: config.probe_timeout,
                 fail_threshold: config.fail_threshold,
                 cache_cap_bytes: config.cache_cap_bytes,
@@ -209,44 +205,25 @@ impl Coordinator {
     /// Only setup failures error; per-connection failures stay contained to
     /// their connection thread, per-worker failures to that worker's slot.
     pub fn run(self) -> Result<(), FleetError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::io("set_nonblocking", e))?;
         self.fleet.broadcast_cache_cap();
-        // Like the worker daemon, all threads here are I/O waiters: the
-        // health monitor sleeps between probes, connection threads block on
-        // sockets. Compute happens on the workers. This file is on the
-        // SRC003 allowlist alongside crates/serve/src/server.rs.
+        // The health monitor sleeps between probes: an I/O waiter like the
+        // connection threads. Compute happens on the workers.
         let monitor = {
             let fleet = Arc::clone(&self.fleet);
             let interval = self.health_interval;
             std::thread::spawn(move || fleet.monitor(interval))
         };
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.fleet.draining.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let fleet = Arc::clone(&self.fleet);
-                    let handle = std::thread::spawn(move || fleet.serve_connection(stream));
-                    connections.push(handle);
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    std::thread::sleep(POLL);
-                }
-                Err(_) => std::thread::sleep(POLL),
-            }
-            connections.retain(|h| !h.is_finished());
-        }
-        for handle in connections {
-            let _ = handle.join();
-        }
+        let fleet = Arc::clone(&self.fleet);
+        let served = serve_connections(
+            self.listener,
+            &self.fleet.draining,
+            move |op, request| fleet.dispatch(op, request).unwrap_or_else(|e| e.to_wire()),
+            || {},
+        );
+        // A setup failure must still stop the monitor before it is joined.
+        self.fleet.draining.store(true, Ordering::Release);
         let _ = monitor.join();
-        Ok(())
+        Ok(served?)
     }
 }
 
@@ -339,55 +316,11 @@ impl Fleet {
         WorkerConn::connect(addr, self.probe_timeout)?.request(&request, Some(self.probe_timeout))
     }
 
-    /// One connection's request/response loop (mirrors the worker daemon).
-    fn serve_connection(&self, stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(POLL));
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        });
-        let mut writer = BufWriter::new(stream);
-        loop {
-            let frame = match read_frame(&mut reader) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return,
-                Err(ProtoError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.draining.load(Ordering::Acquire) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(_) => return,
-            };
-            let response = match self.dispatch(&frame) {
-                Ok(value) => value,
-                Err(e) => e.to_wire(),
-            };
-            if write_frame(&mut writer, &response.to_text()).is_err() {
-                return;
-            }
-            if self.draining.load(Ordering::Acquire) {
-                return;
-            }
-        }
-    }
-
-    /// Parses one client request and executes it against the fleet.
-    fn dispatch(&self, frame: &str) -> Result<Value, FleetError> {
-        let request = json::parse(frame).map_err(|e| ServeError::Protocol(e.to_string()))?;
-        let op = request
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ServeError::Protocol("missing \"op\"".to_owned()))?;
-        check_version(&request)?;
+    /// Executes one client request against the fleet.
+    fn dispatch(&self, op: &str, request: &Value) -> Result<Value, FleetError> {
         match op {
-            "submit" => self.submit(&request),
-            "lint" => self.lint(&request),
+            "submit" => self.submit(request),
+            "lint" => Ok(lint_op(request)?),
             "status" | "wait" | "fetch" => {
                 let job = request
                     .get("job")
@@ -395,7 +328,7 @@ impl Fleet {
                     .ok_or_else(|| ServeError::Protocol("missing \"job\"".to_owned()))?;
                 self.forward(op, job)
             }
-            "stats" => Ok(self.stats()),
+            "stats" => self.stats(),
             "shutdown" => Ok(self.shutdown()),
             other => Err(ServeError::Protocol(format!("unknown op {other:?}")).into()),
         }
@@ -419,39 +352,9 @@ impl Fleet {
         // Reject bad submissions here, before burning a worker round-trip —
         // and compute the routing key the exact way the worker will.
         let config = config_from_wire(request.get("config"))?;
-        let netlist = match bench::parse(name, bench_text) {
-            Ok(netlist) => netlist,
-            Err(e) => {
-                // Structural build errors get the same typed rejection the
-                // worker would issue, cached under the raw-text key (the
-                // netlist cannot be canonicalized); syntax errors stay on
-                // the plain netlist path.
-                return Err(match tvs_lint::netlist_error_diagnostics(&e) {
-                    Some(diags) => {
-                        let key = ArtifactKey::compute(bench_text, &config);
-                        self.reject(key, tvs_lint::render_json(&diags))
-                    }
-                    None => ServeError::Netlist(e.to_string()).into(),
-                });
-            }
-        };
-        let canonical = bench::to_string(&netlist);
-        // The identity helper keeps the coordinator's key byte-for-byte in
-        // agreement with what the placed worker will compute.
-        let identity = SubmissionIdentity::of(&netlist, &canonical, &config);
+        let (_, identity) = self.gate.admit(name, bench_text, &config)?;
         let key = identity.key;
         let family = identity.family(&config);
-        if let Some(hit) = self.cached_rejection(key) {
-            return Err(hit);
-        }
-        if !lock(&self.admitted).contains(&key.0) {
-            let diags =
-                tvs_lint::admission_diagnostics(&netlist, &tvs_lint::TestabilityConfig::default());
-            if tvs_lint::has_deny(&diags) {
-                return Err(self.reject(key, tvs_lint::render_json(&diags)));
-            }
-            lock(&self.admitted).insert(key.0);
-        }
 
         let job = FleetJob {
             key,
@@ -488,70 +391,6 @@ impl Fleet {
             ("admission".into(), Value::str(admission)),
             ("key".into(), Value::str(key.to_string())),
             ("worker".into(), Value::str(worker)),
-        ]))
-    }
-
-    /// Records a fresh deny verdict for `key` and returns the typed wire
-    /// error. Race-safe: if another submission recorded the verdict first,
-    /// its diagnostics win and this call reports a cache hit.
-    fn reject(&self, key: ArtifactKey, diagnostics: String) -> FleetError {
-        let mut rejections = lock(&self.rejections);
-        if let Some(existing) = rejections.get(&key.0) {
-            tvs_exec::counter("fleet.rejected_cache_hits").incr();
-            return ServeError::Rejected {
-                diagnostics: existing.clone(),
-                cached: true,
-            }
-            .into();
-        }
-        tvs_exec::counter("fleet.rejected").incr();
-        rejections.insert(key.0, diagnostics.clone());
-        ServeError::Rejected {
-            diagnostics,
-            cached: false,
-        }
-        .into()
-    }
-
-    /// The cached deny verdict for `key`, if any.
-    fn cached_rejection(&self, key: ArtifactKey) -> Option<FleetError> {
-        let rejections = lock(&self.rejections);
-        let diagnostics = rejections.get(&key.0)?.clone();
-        tvs_exec::counter("fleet.rejected_cache_hits").incr();
-        Some(
-            ServeError::Rejected {
-                diagnostics,
-                cached: true,
-            }
-            .into(),
-        )
-    }
-
-    /// Answers the `lint` op locally — the coordinator runs the identical
-    /// analysis a worker would, so no round-trip is needed.
-    fn lint(&self, request: &Value) -> Result<Value, FleetError> {
-        let bench_text = request
-            .get("bench")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ServeError::Protocol("lint requires \"bench\"".to_owned()))?;
-        let name = request
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or("netlist");
-        let diags = match bench::parse(name, bench_text) {
-            Ok(netlist) => {
-                tvs_lint::admission_diagnostics(&netlist, &tvs_lint::TestabilityConfig::default())
-            }
-            Err(e) => tvs_lint::netlist_error_diagnostics(&e)
-                .ok_or_else(|| ServeError::Netlist(e.to_string()))?,
-        };
-        let deny = tvs_lint::has_deny(&diags);
-        let doc = json::parse(&tvs_lint::render_json(&diags))
-            .map_err(|e| ServeError::Protocol(format!("lint serializer: {e}")))?;
-        Ok(Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("admitted".into(), Value::Bool(!deny)),
-            ("lint".into(), doc),
         ]))
     }
 
@@ -702,9 +541,11 @@ impl Fleet {
         }
     }
 
-    /// The fleet-wide `stats` document: coordinator gauges, per-worker
-    /// health + live worker stats, and counter totals across the fleet.
-    fn stats(&self) -> Value {
+    /// The fleet-wide `stats` document: the coordinator's own counter
+    /// report (`fleet.*`), coordinator gauges, per-worker health + live
+    /// worker stats, and counter totals across the fleet.
+    fn stats(&self) -> Result<Value, FleetError> {
+        let report = stats_report()?;
         let mut totals: BTreeMap<String, u64> = BTreeMap::new();
         let mut workers = Vec::new();
         for slot in &self.slots {
@@ -753,8 +594,9 @@ impl Fleet {
         }
         let map = lock(&self.jobs);
         let deaths: u64 = self.slots.iter().map(|s| s.snapshot().deaths).sum();
-        Value::Obj(vec![
+        Ok(Value::Obj(vec![
             ("ok".into(), Value::Bool(true)),
+            ("stats".into(), report),
             (
                 "fleet".into(),
                 Value::Obj(vec![
@@ -779,7 +621,7 @@ impl Fleet {
                 ),
             ),
             ("workers".into(), Value::Arr(workers)),
-        ])
+        ]))
     }
 
     /// Flips the draining flag and broadcasts `shutdown` to every live

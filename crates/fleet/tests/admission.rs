@@ -1,7 +1,8 @@
 //! Coordinator-side lint admission: a deny-level netlist is rejected
 //! locally with the typed `rejected` error before any worker sees it, the
-//! verdict is cached per artifact key, and the `lint` op is answered by
-//! the coordinator itself.
+//! verdict is cached per artifact key, the `lint` op is answered by the
+//! coordinator itself, and the coordinator's `stats` op reports its own
+//! `fleet.rejected*` counters.
 
 use tvs_fleet::{Coordinator, CoordinatorConfig};
 use tvs_serve::json::Value;
@@ -15,6 +16,16 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 /// A netlist whose builder trips on the `b <-> c` combinational cycle.
 const CYCLIC: &str = "INPUT(a)\nOUTPUT(y)\nb = AND(a, c)\nc = NOT(b)\ny = AND(a, b)\n";
+
+/// A counter from the coordinator's own report in a `stats` response.
+fn counter(stats: &Value, name: &str) -> u64 {
+    stats
+        .get("stats")
+        .and_then(|s| s.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(Value::as_u64)
+        .unwrap_or(0)
+}
 
 #[test]
 fn coordinator_rejects_deny_level_netlists_before_routing() {
@@ -44,6 +55,9 @@ fn coordinator_rejects_deny_level_netlists_before_routing() {
 
     // The coordinator speaks the worker protocol, so the stock client works.
     let mut client = Client::connect(&addr).expect("connect");
+    // The worker runs in this process and shares the counter ledger, so
+    // the coordinator's counters are read as deltas.
+    let before = client.stats().expect("coordinator stats");
 
     // Lint op: answered locally, reports the cycle.
     let (admitted, lint) = client.lint("cyclic", CYCLIC).expect("lint op");
@@ -72,6 +86,18 @@ fn coordinator_rejects_deny_level_netlists_before_routing() {
     match &err {
         ServeError::Rejected { cached, .. } => assert!(cached),
         other => panic!("expected cached Rejected, got {other:?}"),
+    }
+
+    // The coordinator's own counters saw one fresh rejection and one
+    // rejection-cache hit.
+    let after = client.stats().expect("coordinator stats");
+    for name in ["fleet.rejected", "fleet.rejected_cache_hits"] {
+        assert_eq!(
+            counter(&after, name) - counter(&before, name),
+            1,
+            "{name} in {}",
+            after.to_text()
+        );
     }
 
     // The worker never issued a job for either attempt.

@@ -6,7 +6,7 @@ use std::net::TcpStream;
 
 use crate::error::ServeError;
 use crate::json::{self, Value};
-use crate::proto::{read_frame, write_frame, PROTO_VERSION};
+use crate::proto::{read_frame, stamp_version, write_frame};
 
 /// One connection to a `tvs serve` daemon.
 pub struct Client {
@@ -43,13 +43,7 @@ impl Client {
     /// Transport failures, protocol violations, and any error response from
     /// the server (decoded back into the matching [`ServeError`] variant).
     pub fn request(&mut self, request: &Value) -> Result<Value, ServeError> {
-        let mut request = request.clone();
-        if let Value::Obj(pairs) = &mut request {
-            if !pairs.iter().any(|(k, _)| k == "v") {
-                pairs.push(("v".into(), Value::num_u64(PROTO_VERSION)));
-            }
-        }
-        write_frame(&mut self.writer, &request.to_text())?;
+        write_frame(&mut self.writer, &stamp_version(request).to_text())?;
         let frame = read_frame(&mut self.reader)?
             .ok_or_else(|| ServeError::Protocol("server hung up".to_owned()))?;
         let response = json::parse(&frame).map_err(|e| ServeError::Protocol(e.to_string()))?;

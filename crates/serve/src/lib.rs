@@ -19,9 +19,14 @@
 //! with the fleet coordinator (`tvs-fleet`) that shards submissions across
 //! many of these daemons.
 //!
+//! Both daemons run one front end: [`serve_connections`] owns the accept
+//! loop, the request prelude and the drain, and the coordinator answers
+//! `lint` with the worker's own [`lint_op`].
+//!
 //! Everything is std-only; determinism of the engine itself is untouched —
-//! connection threads (one allowed use of raw threads outside
-//! `crates/exec`, see the lint table) only wait on sockets and job handles.
+//! connection threads (raw threads outside `crates/exec` are allowed only
+//! in `server.rs` and the fleet coordinator, see the lint table) only wait
+//! on sockets and job handles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,5 +43,8 @@ pub use tvs_core::json;
 pub use client::Client;
 pub use error::ServeError;
 pub use proto::PROTO_VERSION;
-pub use server::{check_version, config_from_wire, Server, ServerConfig};
+pub use server::{
+    check_version, config_from_wire, lint_op, serve_connections, stats_report, Server,
+    ServerConfig, POLL,
+};
 pub use tvs_core::{Admission, ArtifactKey, ArtifactStore, CoreError, JobStatus, JobTable};

@@ -14,6 +14,8 @@
 
 use std::io::{self, Read, Write};
 
+use crate::json::Value;
+
 /// Upper bound on a single frame's payload (64 MiB — an order of magnitude
 /// above the largest ISCAS benchmark plus its artifact).
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
@@ -25,6 +27,20 @@ pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 /// first frame instead of misparsing payloads. Bump on any change to the
 /// request/response grammar.
 pub const PROTO_VERSION: u64 = 1;
+
+/// Returns `request` with the `"v"` protocol-version field appended,
+/// unless the caller already set one. Every client-side sender (the
+/// [`Client`](crate::Client) and the fleet's worker connections) stamps
+/// its requests through here.
+pub fn stamp_version(request: &Value) -> Value {
+    let mut request = request.clone();
+    if let Value::Obj(pairs) = &mut request {
+        if !pairs.iter().any(|(k, _)| k == "v") {
+            pairs.push(("v".into(), Value::num_u64(PROTO_VERSION)));
+        }
+    }
+    request
+}
 
 /// A framing failure.
 #[derive(Debug)]

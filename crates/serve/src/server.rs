@@ -1,5 +1,10 @@
-//! The TCP daemon: accept loop, per-connection protocol dispatch, and
-//! graceful drain.
+//! The daemons' front end: accept loop, per-connection request prelude,
+//! and graceful drain — plus the `tvs serve` worker's own op dispatch.
+//!
+//! [`serve_connections`] is the one connection path of both daemons: the
+//! worker ([`Server::run`]) and the fleet coordinator pass it an op handler
+//! and a drain hook, so the two cannot drift in how they frame, parse,
+//! version-check or hang up.
 //!
 //! Concurrency split: **I/O concurrency lives here** (one OS thread per
 //! connection — clients block on `wait`/`fetch` for minutes, a share-nothing
@@ -10,10 +15,10 @@
 //! argument of DESIGN.md §6 is untouched by the serving layer.
 //!
 //! Shutdown: a `shutdown` request flips the draining flag. The accept loop
-//! stops admitting sockets, the job table drains (every admitted job
-//! completes and persists its artifact — blocked `wait`ers get their
-//! answer), and connection threads notice the flag at their next read
-//! timeout and hang up.
+//! stops admitting sockets, the drain hook runs (the worker's job table
+//! drains: every admitted job completes and persists its artifact, and
+//! blocked `wait`ers get their answer), and connection threads notice the
+//! flag at their next read timeout and hang up.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -30,8 +35,10 @@ use tvs_core::{ArtifactStore, JobStatus, JobTable};
 use crate::error::ServeError;
 use crate::proto::{read_frame, write_frame, ProtoError, PROTO_VERSION};
 
-/// How often blocked reads and the accept loop re-check the draining flag.
-const POLL: Duration = Duration::from_millis(50);
+/// The daemons' one poll interval: how often the accept loop, blocked
+/// reads, the fleet's forwarded waits and its health monitor re-check
+/// their stop condition.
+pub const POLL: Duration = Duration::from_millis(50);
 
 /// Construction parameters for [`Server::bind`].
 #[derive(Debug, Clone)]
@@ -122,46 +129,77 @@ impl Server {
     /// Only setup failures (making the listener non-blocking) error; per-
     /// connection failures are contained to their connection thread.
     pub fn run(self) -> Result<(), ServeError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::io("set_nonblocking", e))?;
-        // Connection threads are I/O waiters, not compute — every engine run
-        // goes through the tvs-exec job queue. This file is the one SRC003
-        // allowlist entry outside crates/exec (see the lint table).
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.draining.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let table = Arc::clone(&self.table);
-                    let draining = Arc::clone(&self.draining);
-                    let handle =
-                        std::thread::spawn(move || serve_connection(stream, &table, &draining));
-                    connections.push(handle);
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    std::thread::sleep(POLL);
-                }
-                Err(_) => std::thread::sleep(POLL),
-            }
-            connections.retain(|h| !h.is_finished());
-        }
-        // Drain: finish every admitted job, then let connection threads
-        // notice the flag and exit.
-        self.table.drain();
-        for handle in connections {
-            let _ = handle.join();
-        }
-        Ok(())
+        let table = Arc::clone(&self.table);
+        let draining = Arc::clone(&self.draining);
+        serve_connections(
+            self.listener,
+            &self.draining,
+            move |op, request| {
+                dispatch(op, request, &table, &draining).unwrap_or_else(|e| e.to_wire())
+            },
+            // Finish every admitted job before the connection threads are
+            // joined, so a blocked `wait` still gets its answer.
+            || self.table.drain(),
+        )
     }
 }
 
+/// Serves `listener` until `draining` flips: accepts sockets, gives each
+/// its own I/O thread, and answers every frame with `handler(op, request)`
+/// once the request prelude has passed. Then it stops accepting, runs
+/// `on_drain`, and joins the connection threads.
+///
+/// Connection threads are I/O waiters, not compute: every engine run goes
+/// through the tvs-exec job queue. This file and the fleet coordinator
+/// (for its health monitor) are the SRC003 allowlist entries outside
+/// `crates/exec` (see the lint table).
+///
+/// # Errors
+///
+/// Only setup failures (making the listener non-blocking) error; per-
+/// connection failures are contained to their connection thread.
+pub fn serve_connections<H>(
+    listener: TcpListener,
+    draining: &Arc<AtomicBool>,
+    handler: H,
+    on_drain: impl FnOnce(),
+) -> Result<(), ServeError>
+where
+    H: Fn(&str, &Value) -> Value + Send + Sync + 'static,
+{
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| ServeError::io("set_nonblocking", e))?;
+    let handler = Arc::new(handler);
+    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    while !draining.load(Ordering::Acquire) {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                let handler = Arc::clone(&handler);
+                let draining = Arc::clone(draining);
+                let handle =
+                    std::thread::spawn(move || serve_connection(stream, &*handler, &draining));
+                connections.push(handle);
+            }
+            // Would-block (no pending socket) and transient accept errors
+            // alike: wait a poll interval and re-check the flag.
+            Err(_) => std::thread::sleep(POLL),
+        }
+        connections.retain(|h| !h.is_finished());
+    }
+    on_drain();
+    for handle in connections {
+        let _ = handle.join();
+    }
+    Ok(())
+}
+
 /// One connection's request/response loop.
-fn serve_connection(stream: TcpStream, table: &JobTable, draining: &AtomicBool) {
+fn serve_connection(
+    stream: TcpStream,
+    handler: &dyn Fn(&str, &Value) -> Value,
+    draining: &AtomicBool,
+) {
     let _ = stream.set_read_timeout(Some(POLL));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
@@ -185,10 +223,7 @@ fn serve_connection(stream: TcpStream, table: &JobTable, draining: &AtomicBool) 
             }
             Err(_) => return, // malformed stream: hang up
         };
-        let response = match dispatch(&frame, table, draining) {
-            Ok(value) => value,
-            Err(e) => e.to_wire(),
-        };
+        let response = respond(&frame, handler).unwrap_or_else(|e| e.to_wire());
         if write_frame(&mut writer, &response.to_text()).is_err() {
             return;
         }
@@ -199,14 +234,25 @@ fn serve_connection(stream: TcpStream, table: &JobTable, draining: &AtomicBool) 
     }
 }
 
-/// Parses one request frame and executes it against the job table.
-fn dispatch(frame: &str, table: &JobTable, draining: &AtomicBool) -> Result<Value, ServeError> {
+/// The request prelude: parse the frame, find its `"op"`, check its
+/// protocol version — then hand it to the daemon's op handler.
+fn respond(frame: &str, handler: &dyn Fn(&str, &Value) -> Value) -> Result<Value, ServeError> {
     let request = json::parse(frame).map_err(|e| ServeError::Protocol(e.to_string()))?;
     let op = request
         .get("op")
         .and_then(Value::as_str)
         .ok_or_else(|| ServeError::Protocol("missing \"op\"".to_owned()))?;
     check_version(&request)?;
+    Ok(handler(op, &request))
+}
+
+/// Executes one worker request against the job table.
+fn dispatch(
+    op: &str,
+    request: &Value,
+    table: &JobTable,
+    draining: &AtomicBool,
+) -> Result<Value, ServeError> {
     match op {
         "submit" => {
             if draining.load(Ordering::Acquire) {
@@ -233,36 +279,9 @@ fn dispatch(frame: &str, table: &JobTable, draining: &AtomicBool) -> Result<Valu
                 ("key".into(), Value::str(status.key.to_string())),
             ]))
         }
-        "lint" => {
-            // Runs the same admission analysis `submit` gates on, but only
-            // reports: no job, no engine run, no rejection-cache entry.
-            let bench = request
-                .get("bench")
-                .and_then(Value::as_str)
-                .ok_or_else(|| ServeError::Protocol("lint requires \"bench\"".to_owned()))?;
-            let name = request
-                .get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("netlist");
-            let diags = match tvs_netlist::bench::parse(name, bench) {
-                Ok(netlist) => tvs_lint::admission_diagnostics(
-                    &netlist,
-                    &tvs_lint::TestabilityConfig::default(),
-                ),
-                Err(e) => tvs_lint::netlist_error_diagnostics(&e)
-                    .ok_or_else(|| ServeError::Netlist(e.to_string()))?,
-            };
-            let deny = tvs_lint::has_deny(&diags);
-            let doc = json::parse(&tvs_lint::render_json(&diags))
-                .map_err(|e| ServeError::Protocol(format!("lint serializer: {e}")))?;
-            Ok(Value::Obj(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("admitted".into(), Value::Bool(!deny)),
-                ("lint".into(), doc),
-            ]))
-        }
+        "lint" => lint_op(request),
         "status" | "wait" => {
-            let job = job_arg(&request)?;
+            let job = job_arg(request)?;
             let status = if op == "wait" {
                 table.wait(job)?
             } else {
@@ -271,7 +290,7 @@ fn dispatch(frame: &str, table: &JobTable, draining: &AtomicBool) -> Result<Valu
             Ok(status_to_wire(&status))
         }
         "fetch" => {
-            let job = job_arg(&request)?;
+            let job = job_arg(request)?;
             let artifact_text = table.fetch(job)?;
             let artifact = json::parse(&artifact_text)
                 .map_err(|e| ServeError::Protocol(format!("stored artifact corrupt: {e}")))?;
@@ -280,28 +299,22 @@ fn dispatch(frame: &str, table: &JobTable, draining: &AtomicBool) -> Result<Valu
                 ("artifact".into(), artifact),
             ]))
         }
-        "stats" => {
-            // The same serializer `tvs run --stats-json` uses, embedded as a
-            // document, plus the server's own gauges.
-            let counters = json::parse(&tvs_exec::report().to_json())
-                .map_err(|e| ServeError::Protocol(format!("stats serializer: {e}")))?;
-            Ok(Value::Obj(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("stats".into(), counters),
-                (
-                    "server".into(),
-                    Value::Obj(vec![
-                        ("open_jobs".into(), Value::num_u64(table.open_jobs() as u64)),
-                        ("capacity".into(), Value::num_u64(table.capacity() as u64)),
-                        ("jobs_issued".into(), Value::num_u64(table.jobs_issued())),
-                        (
-                            "draining".into(),
-                            Value::Bool(draining.load(Ordering::Acquire)),
-                        ),
-                    ]),
-                ),
-            ]))
-        }
+        "stats" => Ok(Value::Obj(vec![
+            ("ok".into(), Value::Bool(true)),
+            ("stats".into(), stats_report()?),
+            (
+                "server".into(),
+                Value::Obj(vec![
+                    ("open_jobs".into(), Value::num_u64(table.open_jobs() as u64)),
+                    ("capacity".into(), Value::num_u64(table.capacity() as u64)),
+                    ("jobs_issued".into(), Value::num_u64(table.jobs_issued())),
+                    (
+                        "draining".into(),
+                        Value::Bool(draining.load(Ordering::Acquire)),
+                    ),
+                ]),
+            ),
+        ])),
         "cache-cap" => {
             // Live adjustment of the artifact cache's byte cap (0 lifts
             // it); the fleet coordinator broadcasts this at startup so one
@@ -325,6 +338,54 @@ fn dispatch(frame: &str, table: &JobTable, draining: &AtomicBool) -> Result<Valu
         }
         other => Err(ServeError::Protocol(format!("unknown op {other:?}"))),
     }
+}
+
+/// The `lint` op, answered the same way by a worker and by the fleet
+/// coordinator: runs the admission analysis `submit` gates on, but only
+/// reports — no job, no engine run, no rejection-cache entry.
+///
+/// # Errors
+///
+/// [`ServeError::Protocol`] without a `"bench"` field, and
+/// [`ServeError::Netlist`] for syntax errors (as opposed to design-rule
+/// findings).
+pub fn lint_op(request: &Value) -> Result<Value, ServeError> {
+    let bench = request
+        .get("bench")
+        .and_then(Value::as_str)
+        .ok_or_else(|| ServeError::Protocol("lint requires \"bench\"".to_owned()))?;
+    let name = request
+        .get("name")
+        .and_then(Value::as_str)
+        .unwrap_or("netlist");
+    let diags = match tvs_netlist::bench::parse(name, bench) {
+        Ok(netlist) => {
+            tvs_lint::admission_diagnostics(&netlist, &tvs_lint::TestabilityConfig::default())
+        }
+        Err(e) => tvs_lint::netlist_error_diagnostics(&e)
+            .ok_or_else(|| ServeError::Netlist(e.to_string()))?,
+    };
+    let deny = tvs_lint::has_deny(&diags);
+    let doc = json::parse(&tvs_lint::render_json(&diags))
+        .map_err(|e| ServeError::Protocol(format!("lint serializer: {e}")))?;
+    Ok(Value::Obj(vec![
+        ("ok".into(), Value::Bool(true)),
+        ("admitted".into(), Value::Bool(!deny)),
+        ("lint".into(), doc),
+    ]))
+}
+
+/// This process's counter/timer report as a document — the serializer
+/// `tvs run --stats-json` uses, embedded under `"stats"` by both daemons'
+/// `stats` op.
+///
+/// # Errors
+///
+/// [`ServeError::Protocol`] if the report does not parse back (a
+/// serializer bug).
+pub fn stats_report() -> Result<Value, ServeError> {
+    json::parse(&tvs_exec::report().to_json())
+        .map_err(|e| ServeError::Protocol(format!("stats serializer: {e}")))
 }
 
 /// Enforces the frame's protocol-version field. Requests without a `v`
